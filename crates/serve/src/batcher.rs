@@ -7,7 +7,9 @@
 //! from the runtime's latency curve) exceeds the configured budget —
 //! DeepRecSys-style SLA protection rather than unbounded buffering.
 //! Shedding is priority-aware: a full queue evicts its newest
-//! strictly-lower-priority occupant before shedding the arrival.
+//! strictly-lower-priority occupant before shedding the arrival, and the
+//! arrival takes the victim's place in line (it inherits the victim's
+//! queue position rather than joining the back).
 //!
 //! Batch formation is deadline-based: a free worker takes the oldest
 //! request, then waits until either `max_batch` requests are queued or
@@ -22,38 +24,21 @@
 //! queued are split out of the batch at drain time so workers never
 //! spend cycles on answers nobody is waiting for.
 //!
-//! # Two interchangeable queue implementations
+//! # Lock-free queue
 //!
-//! The queue ships two implementations behind one API, selected at
-//! construction time (see [`QueueKind`]):
+//! The queue is a bounded MPMC ring with sequence-numbered slots
+//! ([`drec_sync::EvictRing`] — Vyukov's queue extended with in-place
+//! priority eviction) plus an eventcount ([`drec_sync::EventCount`]) so
+//! consumers park instead of spinning. Producers and consumers never
+//! take a lock on the hot path; only [`SharedQueue::requeue`] (rare:
+//! transient batch failure) touches a mutex-protected stash, which
+//! drains ahead of the ring.
 //!
-//! * **Lock-free** (the default): a bounded MPMC ring with
-//!   sequence-numbered slots ([`drec_sync::EvictRing`] — Vyukov's queue
-//!   extended with in-place priority eviction) plus an eventcount
-//!   ([`drec_sync::EventCount`]) so consumers park instead of spinning.
-//!   Producers and consumers never take a lock on the hot path; only
-//!   [`SharedQueue::requeue`] (rare: transient batch failure) touches a
-//!   mutex-protected stash, which drains ahead of the ring.
-//! * **Lock-based** (`DREC_LOCK_QUEUE=1`, or [`QueueKind::Lock`]): the
-//!   original `Mutex<VecDeque> + Condvar` queue, kept as the semantics
-//!   oracle — the same role `DREC_FORCE_SCALAR=1` plays for the SIMD
-//!   kernels. CI runs the test suite and the serving benchmarks on both
-//!   legs; `queue_bench` additionally checks the two legs produce
-//!   bit-identical model outputs.
-//!
-//! One admission-order difference is documented rather than hidden: when
-//! a higher-priority arrival evicts a queued lower-priority victim, the
-//! lock-based queue removes the victim and appends the arrival at the
-//! back, while the lock-free queue swaps the arrival into the victim's
-//! slot (so it inherits the victim's queue position). Both orders respect
-//! arrival order *within* the surviving requests of equal fate, and every
-//! single-producer sequence is identical across legs.
-//!
-//! Both implementations are built exclusively from `drec-sync`
-//! primitives, so the whole batcher is model-checkable: compiled under
-//! `--cfg loom`, every lock, condvar and atomic becomes a schedule point
-//! for the in-tree model checker (see `drec_sync::model` and this
-//! crate's `tests/loom_serve.rs`).
+//! The queue is built exclusively from `drec-sync` primitives, so the
+//! whole batcher is model-checkable: compiled under `--cfg loom`, every
+//! lock and atomic becomes a schedule point for the in-tree model
+//! checker (see `drec_sync::model` and this crate's
+//! `tests/loom_serve.rs`).
 //!
 //! # Multi-model dispatch seam
 //!
@@ -71,12 +56,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use drec_sync::atomic::{AtomicBool, AtomicUsize};
-use drec_sync::{Condvar, EventCount, EvictPush, EvictRing, Mutex, Ordering};
+use drec_sync::{EventCount, EvictPush, EvictRing, Mutex, Ordering};
 
 use crate::degrade::OverloadLadder;
 use crate::error::ServeError;
 use crate::request::{Priority, Request};
-
 /// An eventcount shared by several [`SharedQueue`]s so one worker pool
 /// can wait for work on *any* of them. Pushes increment a generation
 /// counter and wake all waiters; a worker that polled every queue and
@@ -163,34 +147,22 @@ pub struct TakenBatch {
     pub expired: Vec<Request>,
 }
 
-/// Which queue implementation a [`SharedQueue`] runs on (see the module
-/// docs for the trade-off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// `Mutex<VecDeque> + Condvar`: the semantics oracle.
-    Lock,
-    /// Sequence-numbered MPMC ring + eventcount: the default hot path.
-    LockFree,
-}
+/// Labels the batcher queue in benchmark run headers. The batcher has a
+/// single implementation, the lock-free ring, so this always names it
+/// and reads no environment variable.
+#[derive(Debug)]
+pub struct QueueKind;
 
 impl QueueKind {
-    /// The kind selected by the environment: [`QueueKind::Lock`] when
-    /// `DREC_LOCK_QUEUE=1` (the oracle leg CI exercises), otherwise
-    /// [`QueueKind::LockFree`].
+    /// The queue implementation this build runs (always the lock-free
+    /// ring).
     pub fn from_env() -> QueueKind {
-        if std::env::var("DREC_LOCK_QUEUE").is_ok_and(|v| v == "1") {
-            QueueKind::Lock
-        } else {
-            QueueKind::LockFree
-        }
+        QueueKind
     }
 
-    /// Short name for logs and benchmark JSON.
+    /// Short name for run headers and benchmark JSON: `"lockfree"`.
     pub fn name(&self) -> &'static str {
-        match self {
-            QueueKind::Lock => "lock",
-            QueueKind::LockFree => "lockfree",
-        }
+        "lockfree"
     }
 }
 
@@ -204,24 +176,11 @@ fn prio_level(priority: Priority) -> u8 {
     }
 }
 
-#[derive(Debug)]
-struct QueueInner {
-    queue: VecDeque<Request>,
-    accepting: bool,
-}
-
-/// The lock-based implementation: one mutex around the whole state, a
-/// condvar for blocked workers. Simple to reason about; every operation
-/// serializes on the lock.
-#[derive(Debug)]
-struct LockQueue {
-    inner: Mutex<QueueInner>,
-    not_empty: Condvar,
-}
-
-/// The lock-free implementation. Producers and consumers synchronize
-/// only through the ring's per-slot sequence numbers; the eventcount
-/// exists so an empty-handed consumer parks instead of spinning.
+/// The shared queue between producer handles and worker threads.
+///
+/// Producers and consumers synchronize only through the ring's per-slot
+/// sequence numbers; the eventcount exists so an empty-handed consumer
+/// parks instead of spinning.
 ///
 /// `stash` holds requeued requests (transient batch failures). Requeues
 /// are rare and must go to the *front* of the line — a ring cannot
@@ -229,7 +188,7 @@ struct LockQueue {
 /// `stash_len` for lock-free emptiness checks, and drain ahead of the
 /// ring.
 #[derive(Debug)]
-struct FreeQueue {
+pub struct SharedQueue {
     ring: EvictRing<Request>,
     accepting: AtomicBool,
     stash: Mutex<VecDeque<Request>>,
@@ -239,36 +198,6 @@ struct FreeQueue {
     /// reconstruct the front request's coalescing deadline without
     /// dereferencing (and so racing on) the payload.
     epoch: Instant,
-}
-
-impl FreeQueue {
-    fn stamp_of(&self, submitted_at: Instant) -> u64 {
-        submitted_at
-            .saturating_duration_since(self.epoch)
-            .as_nanos() as u64
-    }
-
-    /// The front request's coalescing deadline, from its slot stamp.
-    fn front_deadline(&self, max_wait: Duration) -> Option<Instant> {
-        let stamp = self.ring.peek_front_stamp()?;
-        Some(self.epoch + Duration::from_nanos(stamp) + max_wait)
-    }
-
-    fn depth(&self) -> usize {
-        self.ring.len() + self.stash_len.load(Ordering::Acquire)
-    }
-}
-
-#[derive(Debug)]
-enum QueueImpl {
-    Lock(LockQueue),
-    Free(Box<FreeQueue>),
-}
-
-/// The shared queue between producer handles and worker threads.
-#[derive(Debug)]
-pub struct SharedQueue {
-    imp: QueueImpl,
     cfg: BatcherConfig,
     ladder: Arc<OverloadLadder>,
     /// Externally tuned batch cap (see [`SharedQueue::set_batch_cap`]);
@@ -282,63 +211,30 @@ pub struct SharedQueue {
 
 impl SharedQueue {
     /// A standalone queue with its own wake-up machinery (the
-    /// single-model [`crate::ServeRuntime`] configuration). The
-    /// implementation comes from [`QueueKind::from_env`].
+    /// single-model [`crate::ServeRuntime`] configuration).
     pub fn new(cfg: BatcherConfig, ladder: Arc<OverloadLadder>) -> Self {
         Self::with_signal(cfg, ladder, None)
     }
 
     /// A queue participating in a multi-queue worker pool: every push,
     /// requeue, and close additionally pulses `signal` so shared workers
-    /// polling several queues wake up. The implementation comes from
-    /// [`QueueKind::from_env`].
+    /// polling several queues wake up.
     pub fn with_signal(
         cfg: BatcherConfig,
         ladder: Arc<OverloadLadder>,
         signal: Option<Arc<DispatchSignal>>,
     ) -> Self {
-        Self::with_kind(cfg, ladder, signal, QueueKind::from_env())
-    }
-
-    /// A queue on an explicitly chosen implementation — how `queue_bench`
-    /// measures both legs in one process regardless of the environment.
-    pub fn with_kind(
-        cfg: BatcherConfig,
-        ladder: Arc<OverloadLadder>,
-        signal: Option<Arc<DispatchSignal>>,
-        kind: QueueKind,
-    ) -> Self {
-        let imp = match kind {
-            QueueKind::Lock => QueueImpl::Lock(LockQueue {
-                inner: Mutex::new(QueueInner {
-                    queue: VecDeque::new(),
-                    accepting: true,
-                }),
-                not_empty: Condvar::new(),
-            }),
-            QueueKind::LockFree => QueueImpl::Free(Box::new(FreeQueue {
-                ring: EvictRing::with_capacity(cfg.queue_capacity),
-                accepting: AtomicBool::new(true),
-                stash: Mutex::new(VecDeque::new()),
-                stash_len: AtomicUsize::new(0),
-                events: EventCount::new(),
-                epoch: Instant::now(),
-            })),
-        };
         SharedQueue {
-            imp,
+            ring: EvictRing::with_capacity(cfg.queue_capacity),
+            accepting: AtomicBool::new(true),
+            stash: Mutex::new(VecDeque::new()),
+            stash_len: AtomicUsize::new(0),
+            events: EventCount::new(),
+            epoch: Instant::now(),
             cfg,
             ladder,
             tuned_cap: AtomicUsize::new(usize::MAX),
             signal,
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match &self.imp {
-            QueueImpl::Lock(_) => QueueKind::Lock,
-            QueueImpl::Free(_) => QueueKind::LockFree,
         }
     }
 
@@ -373,6 +269,18 @@ impl SharedQueue {
         self.ladder.max_batch(self.batch_cap())
     }
 
+    fn stamp_of(&self, submitted_at: Instant) -> u64 {
+        submitted_at
+            .saturating_duration_since(self.epoch)
+            .as_nanos() as u64
+    }
+
+    /// The front request's coalescing deadline, from its slot stamp.
+    fn front_deadline(&self) -> Option<Instant> {
+        let stamp = self.ring.peek_front_stamp()?;
+        Some(self.epoch + Duration::from_nanos(stamp) + self.cfg.max_wait)
+    }
+
     fn pulse_signal(&self) {
         if let Some(signal) = &self.signal {
             signal.pulse();
@@ -402,144 +310,48 @@ impl SharedQueue {
         &self,
         request: Request,
     ) -> Result<Option<(Request, ServeError)>, (Request, ServeError)> {
-        match &self.imp {
-            QueueImpl::Lock(lq) => self.try_push_lock(lq, request),
-            QueueImpl::Free(fq) => self.try_push_free(fq, request),
-        }
-    }
-
-    #[allow(clippy::type_complexity, clippy::result_large_err)]
-    fn try_push_lock(
-        &self,
-        lq: &LockQueue,
-        request: Request,
-    ) -> Result<Option<(Request, ServeError)>, (Request, ServeError)> {
-        let mut inner = lq.inner.lock();
-        if !inner.accepting {
+        if !self.accepting.load(Ordering::Acquire) {
             return Err((request, ServeError::ShuttingDown));
         }
-        let depth = inner.queue.len();
-        self.ladder.observe(depth);
-        let estimated = self.cfg.estimated_delay_seconds(depth);
-        let mut victim = None;
-        if depth >= self.cfg.queue_capacity || estimated > self.cfg.delay_budget.as_secs_f64() {
-            // Over budget: evict the newest strictly-lower-priority
-            // occupant (newest, so higher-priority arrivals displace the
-            // work that has accrued the least waiting) or shed the
-            // arrival itself.
-            let evict_idx = inner
-                .queue
-                .iter()
-                .rposition(|queued| queued.priority < request.priority);
-            match evict_idx {
-                Some(idx) => {
-                    victim = inner.queue.remove(idx).map(|evicted| {
-                        (
-                            evicted,
-                            ServeError::Overloaded {
-                                depth,
-                                estimated_delay_seconds: estimated,
-                            },
-                        )
-                    });
-                }
-                None => {
-                    return Err((
-                        request,
-                        ServeError::Overloaded {
-                            depth,
-                            estimated_delay_seconds: estimated,
-                        },
-                    ));
-                }
-            }
-        }
-        inner.queue.push_back(request);
-        let len = inner.queue.len();
-        drop(inner);
-        lq.not_empty.notify_one();
-        self.pulse_signal_on_push(len);
-        Ok(victim)
-    }
-
-    #[allow(clippy::type_complexity, clippy::result_large_err)]
-    fn try_push_free(
-        &self,
-        fq: &FreeQueue,
-        request: Request,
-    ) -> Result<Option<(Request, ServeError)>, (Request, ServeError)> {
-        if !fq.accepting.load(Ordering::Acquire) {
-            return Err((request, ServeError::ShuttingDown));
-        }
-        let depth = fq.depth();
+        let depth = self.depth();
         self.ladder.observe(depth);
         let estimated = self.cfg.estimated_delay_seconds(depth);
         let prio = prio_level(request.priority);
-        let stamp = fq.stamp_of(request.submitted_at);
-        let mut victim = None;
-        if depth >= self.cfg.queue_capacity || estimated > self.cfg.delay_budget.as_secs_f64() {
-            // Over budget: swap the arrival into the slot of the newest
-            // strictly-lower-priority occupant, or shed the arrival.
-            // Unlike the lock leg the arrival inherits the victim's queue
-            // position (see the module docs).
-            match fq.ring.push_or_evict(request, prio, stamp) {
-                EvictPush::Evicted(evicted) => {
-                    victim = Some((
-                        evicted,
-                        ServeError::Overloaded {
-                            depth,
-                            estimated_delay_seconds: estimated,
-                        },
-                    ));
-                }
-                EvictPush::NoVictim(request) => {
-                    return Err((
-                        request,
-                        ServeError::Overloaded {
-                            depth,
-                            estimated_delay_seconds: estimated,
-                        },
-                    ));
-                }
-            }
+        let stamp = self.stamp_of(request.submitted_at);
+        let over_budget =
+            depth >= self.cfg.queue_capacity || estimated > self.cfg.delay_budget.as_secs_f64();
+        // Racing producers can outrun the capacity check and find the
+        // ring physically full; the over-budget policy applies then too.
+        let pushed = if over_budget {
+            Err(request)
         } else {
-            match fq.ring.push(request, prio, stamp) {
-                Ok(()) => {}
-                Err(request) => {
-                    // Racing producers outran the capacity check and the
-                    // ring is physically full: apply the same over-budget
-                    // policy.
-                    match fq.ring.push_or_evict(request, prio, stamp) {
-                        EvictPush::Evicted(evicted) => {
-                            victim = Some((
-                                evicted,
-                                ServeError::Overloaded {
-                                    depth,
-                                    estimated_delay_seconds: estimated,
-                                },
-                            ));
-                        }
-                        EvictPush::NoVictim(request) => {
-                            return Err((
-                                request,
-                                ServeError::Overloaded {
-                                    depth,
-                                    estimated_delay_seconds: estimated,
-                                },
-                            ));
-                        }
-                    }
+            self.ring.push(request, prio, stamp)
+        };
+        let victim = match pushed {
+            Ok(()) => None,
+            Err(request) => {
+                // Over budget: swap the arrival into the slot of the
+                // newest strictly-lower-priority occupant (newest, so
+                // higher-priority arrivals displace the work that has
+                // accrued the least waiting), or shed the arrival.
+                let overloaded = ServeError::Overloaded {
+                    depth,
+                    estimated_delay_seconds: estimated,
+                };
+                match self.ring.push_or_evict(request, prio, stamp) {
+                    EvictPush::Evicted(evicted) => Some((evicted, overloaded)),
+                    EvictPush::NoVictim(request) => return Err((request, overloaded)),
                 }
             }
-        }
-        fq.events.advance();
-        self.pulse_signal_on_push(fq.depth());
-        if !fq.accepting.load(Ordering::SeqCst) {
+        };
+        self.events.advance();
+        self.pulse_signal_on_push(self.depth());
+        if !self.accepting.load(Ordering::SeqCst) {
             // The queue closed while we were publishing. The request is
             // in the ring and close() may have pulsed before our publish
             // was visible, so pulse again: either a draining worker picks
             // it up, or the supervisor's final drain_all() answers it.
-            fq.events.advance();
+            self.events.advance();
             self.pulse_signal();
         }
         Ok(victim)
@@ -550,23 +362,12 @@ impl SharedQueue {
     /// already admitted once, and the drain guarantee ("every accepted
     /// request gets an answer") must hold through shutdown.
     pub fn requeue(&self, request: Request) {
-        match &self.imp {
-            QueueImpl::Lock(lq) => {
-                let mut inner = lq.inner.lock();
-                // Front, not back: the request has already waited its turn.
-                inner.queue.push_front(request);
-                drop(inner);
-                lq.not_empty.notify_one();
-            }
-            QueueImpl::Free(fq) => {
-                let mut stash = fq.stash.lock();
-                // Front, not back: the request has already waited its turn.
-                stash.push_front(request);
-                fq.stash_len.store(stash.len(), Ordering::Release);
-                drop(stash);
-                fq.events.advance();
-            }
-        }
+        let mut stash = self.stash.lock();
+        // Front, not back: the request has already waited its turn.
+        stash.push_front(request);
+        self.stash_len.store(stash.len(), Ordering::Release);
+        drop(stash);
+        self.events.advance();
         self.pulse_signal();
     }
 
@@ -576,94 +377,18 @@ impl SharedQueue {
     /// drained requests that expired while queued. Either list may be
     /// empty, but not both.
     pub fn next_batch(&self) -> Option<TakenBatch> {
-        match &self.imp {
-            QueueImpl::Lock(lq) => self.next_batch_lock(lq),
-            QueueImpl::Free(fq) => self.next_batch_free(fq),
-        }
-    }
-
-    fn next_batch_lock(&self, lq: &LockQueue) -> Option<TakenBatch> {
-        let mut inner = lq.inner.lock();
         loop {
-            // Phase 1: wait for the first request (or drain-complete).
-            loop {
-                if !inner.queue.is_empty() {
-                    break;
-                }
-                if !inner.accepting {
-                    return None;
-                }
-                inner = lq.not_empty.wait(inner);
-            }
-            // Phase 2: coalesce until the effective cap or the oldest
-            // request's wait deadline. The oldest request is still in the
-            // queue while we wait, so competing workers can steal it —
-            // both re-check state after every wake-up.
-            let wait_deadline =
-                inner.queue.front().expect("non-empty").submitted_at + self.cfg.max_wait;
-            loop {
-                if inner.queue.is_empty() {
-                    // Another worker stole the whole queue; start over.
-                    break;
-                }
-                let now = Instant::now();
-                let cap = self.effective_cap();
-                if inner.queue.len() >= cap || now >= wait_deadline || !inner.accepting {
-                    let batch = Self::drain_cap(&mut inner, cap, now);
-                    drop(inner);
-                    // More work may remain for the next free worker.
-                    lq.not_empty.notify_one();
-                    return Some(batch);
-                }
-                let (guard, _outcome) = lq.not_empty.wait_timeout(inner, wait_deadline - now);
-                inner = guard;
-            }
-        }
-    }
-
-    fn next_batch_free(&self, fq: &FreeQueue) -> Option<TakenBatch> {
-        loop {
-            // Read the generation before inspecting state: any push,
-            // requeue, or close after this read moves the generation and
-            // makes the wait below return immediately — the standard
-            // eventcount idiom against missed wake-ups.
-            let seen = fq.events.generation();
-            let stash_n = fq.stash_len.load(Ordering::Acquire);
-            let ring_n = fq.ring.len();
-            if stash_n == 0 && ring_n == 0 {
-                if !fq.accepting.load(Ordering::Acquire) {
-                    return None;
-                }
-                fq.events.wait_until(seen, None);
-                continue;
-            }
-            let now = Instant::now();
-            let cap = self.effective_cap();
-            // Releasable: closing, requeued work waiting (it already
-            // waited its turn once), a full batch, or the oldest request
-            // past its coalescing deadline.
-            let releasable =
-                !fq.accepting.load(Ordering::Acquire) || stash_n > 0 || stash_n + ring_n >= cap;
-            if !releasable {
-                match fq.front_deadline(self.cfg.max_wait) {
-                    // Raced with a competing drain; re-evaluate.
-                    None => continue,
-                    // Past deadline: fall through to the drain below.
-                    Some(deadline) if now >= deadline => {}
-                    Some(deadline) => {
-                        fq.events.wait_until(seen, Some(deadline));
-                        continue;
-                    }
-                }
-            }
-            let batch = self.drain_free(fq, cap, now);
-            if batch.requests.is_empty() && batch.expired.is_empty() {
-                // Competing workers emptied the queue first; start over.
-                continue;
-            }
-            // More work may remain for the next free worker.
-            fq.events.advance();
-            return Some(batch);
+            // Read the generation before polling: any push, requeue, or
+            // close after this read moves the generation and makes the
+            // wait below return immediately — the standard eventcount
+            // idiom against missed wake-ups.
+            let seen = self.events.generation();
+            match self.try_next_batch() {
+                BatchPoll::Ready(batch) => return Some(batch),
+                BatchPoll::Closed => return None,
+                BatchPoll::Idle => self.events.wait_until(seen, None),
+                BatchPoll::Coalescing(deadline) => self.events.wait_until(seen, Some(deadline)),
+            };
         }
     }
 
@@ -673,43 +398,11 @@ impl SharedQueue {
     /// closing), otherwise reports why not so the caller can pick
     /// another queue or park on the [`DispatchSignal`].
     pub fn try_next_batch(&self) -> BatchPoll {
-        match &self.imp {
-            QueueImpl::Lock(lq) => self.try_next_batch_lock(lq),
-            QueueImpl::Free(fq) => self.try_next_batch_free(fq),
-        }
-    }
-
-    fn try_next_batch_lock(&self, lq: &LockQueue) -> BatchPoll {
-        let mut inner = lq.inner.lock();
-        if inner.queue.is_empty() {
-            return if inner.accepting {
-                BatchPoll::Idle
-            } else {
-                BatchPoll::Closed
-            };
-        }
-        let now = Instant::now();
-        let cap = self.effective_cap();
-        let wait_deadline =
-            inner.queue.front().expect("non-empty").submitted_at + self.cfg.max_wait;
-        if inner.queue.len() >= cap || now >= wait_deadline || !inner.accepting {
-            let batch = Self::drain_cap(&mut inner, cap, now);
-            drop(inner);
-            // More work may remain for the next free worker.
-            lq.not_empty.notify_one();
-            self.pulse_signal();
-            BatchPoll::Ready(batch)
-        } else {
-            BatchPoll::Coalescing(wait_deadline)
-        }
-    }
-
-    fn try_next_batch_free(&self, fq: &FreeQueue) -> BatchPoll {
         loop {
-            let stash_n = fq.stash_len.load(Ordering::Acquire);
-            let ring_n = fq.ring.len();
+            let stash_n = self.stash_len.load(Ordering::Acquire);
+            let ring_n = self.ring.len();
             if stash_n == 0 && ring_n == 0 {
-                return if fq.accepting.load(Ordering::Acquire) {
+                return if self.accepting.load(Ordering::Acquire) {
                     BatchPoll::Idle
                 } else {
                     BatchPoll::Closed
@@ -717,10 +410,13 @@ impl SharedQueue {
             }
             let now = Instant::now();
             let cap = self.effective_cap();
+            // Releasable: closing, requeued work waiting (it already
+            // waited its turn once), a full batch, or the oldest request
+            // past its coalescing deadline.
             let releasable =
-                !fq.accepting.load(Ordering::Acquire) || stash_n > 0 || stash_n + ring_n >= cap;
+                !self.accepting.load(Ordering::Acquire) || stash_n > 0 || stash_n + ring_n >= cap;
             if !releasable {
-                match fq.front_deadline(self.cfg.max_wait) {
+                match self.front_deadline() {
                     // Raced with a competing drain; re-evaluate.
                     None => continue,
                     // Past deadline: fall through to the drain below.
@@ -728,47 +424,29 @@ impl SharedQueue {
                     Some(deadline) => return BatchPoll::Coalescing(deadline),
                 }
             }
-            let batch = self.drain_free(fq, cap, now);
+            let batch = self.drain(cap, now);
             if batch.requests.is_empty() && batch.expired.is_empty() {
                 // Competing workers emptied the queue first; re-evaluate
                 // (the next pass reports Idle/Closed or a fresh deadline).
                 continue;
             }
             // More work may remain for the next free worker.
-            fq.events.advance();
+            self.events.advance();
             self.pulse_signal();
             return BatchPoll::Ready(batch);
         }
     }
 
-    /// Drains up to `cap` requests, splitting out the expired ones.
-    fn drain_cap(inner: &mut QueueInner, cap: usize, now: Instant) -> TakenBatch {
-        let take = inner.queue.len().min(cap);
-        let drained = inner.queue.drain(..take);
-        let mut batch = TakenBatch {
-            requests: Vec::with_capacity(take),
-            expired: Vec::new(),
-        };
-        for request in drained {
-            if request.expired_at(now) {
-                batch.expired.push(request);
-            } else {
-                batch.requests.push(request);
-            }
-        }
-        batch
-    }
-
-    /// Drains up to `cap` requests from the lock-free leg: the requeue
-    /// stash first (oldest work), then the ring.
-    fn drain_free(&self, fq: &FreeQueue, cap: usize, now: Instant) -> TakenBatch {
+    /// Drains up to `cap` requests, splitting out the expired ones: the
+    /// requeue stash first (oldest work), then the ring.
+    fn drain(&self, cap: usize, now: Instant) -> TakenBatch {
         let mut batch = TakenBatch {
             requests: Vec::new(),
             expired: Vec::new(),
         };
         let mut taken = 0usize;
-        if fq.stash_len.load(Ordering::Acquire) > 0 {
-            let mut stash = fq.stash.lock();
+        if self.stash_len.load(Ordering::Acquire) > 0 {
+            let mut stash = self.stash.lock();
             while taken < cap {
                 match stash.pop_front() {
                     Some(request) => {
@@ -782,10 +460,10 @@ impl SharedQueue {
                     None => break,
                 }
             }
-            fq.stash_len.store(stash.len(), Ordering::Release);
+            self.stash_len.store(stash.len(), Ordering::Release);
         }
         while taken < cap {
-            match fq.ring.pop() {
+            match self.ring.pop() {
                 Some(request) => {
                     taken += 1;
                     if request.expired_at(now) {
@@ -802,18 +480,8 @@ impl SharedQueue {
 
     /// Stops admission; queued work remains for workers to drain.
     pub fn close(&self) {
-        match &self.imp {
-            QueueImpl::Lock(lq) => {
-                let mut inner = lq.inner.lock();
-                inner.accepting = false;
-                drop(inner);
-                lq.not_empty.notify_all();
-            }
-            QueueImpl::Free(fq) => {
-                fq.accepting.store(false, Ordering::SeqCst);
-                fq.events.advance();
-            }
-        }
+        self.accepting.store(false, Ordering::SeqCst);
+        self.events.advance();
         self.pulse_signal();
     }
 
@@ -822,29 +490,21 @@ impl SharedQueue {
     /// then satisfied by answering each request with a typed error
     /// instead of leaving it to hang.
     pub fn drain_all(&self) -> Vec<Request> {
-        match &self.imp {
-            QueueImpl::Lock(lq) => lq.inner.lock().queue.drain(..).collect(),
-            QueueImpl::Free(fq) => {
-                let mut out = Vec::new();
-                {
-                    let mut stash = fq.stash.lock();
-                    out.extend(stash.drain(..));
-                    fq.stash_len.store(0, Ordering::Release);
-                }
-                while let Some(request) = fq.ring.pop() {
-                    out.push(request);
-                }
-                out
-            }
+        let mut out = Vec::new();
+        {
+            let mut stash = self.stash.lock();
+            out.extend(stash.drain(..));
+            self.stash_len.store(0, Ordering::Release);
         }
+        while let Some(request) = self.ring.pop() {
+            out.push(request);
+        }
+        out
     }
 
     /// Current queue depth (racy; for observation only).
     pub fn depth(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Lock(lq) => lq.inner.lock().queue.len(),
-            QueueImpl::Free(fq) => fq.depth(),
-        }
+        self.ring.len() + self.stash_len.load(Ordering::Acquire)
     }
 }
 
@@ -856,8 +516,6 @@ mod tests {
     use drec_ops::Value;
     use drec_tensor::Tensor;
     use std::sync::mpsc;
-
-    const BOTH_KINDS: [QueueKind; 2] = [QueueKind::Lock, QueueKind::LockFree];
 
     fn dummy_request(
         id: u64,
@@ -900,375 +558,342 @@ mod tests {
         }
     }
 
-    fn queue_of(c: BatcherConfig, kind: QueueKind) -> SharedQueue {
+    fn queue_of(c: BatcherConfig) -> SharedQueue {
         let ladder = Arc::new(OverloadLadder::new(
             DegradeConfig::default(),
             c.queue_capacity,
             None,
         ));
-        SharedQueue::with_kind(c, ladder, None, kind)
-    }
-
-    #[test]
-    fn env_default_is_lock_free() {
-        // The suite runs without DREC_LOCK_QUEUE set (the oracle leg is a
-        // separate CI job), so the default construction is lock-free.
-        if std::env::var("DREC_LOCK_QUEUE").is_err() {
-            let q = queue_of(cfg(8, 100), QueueKind::from_env());
-            assert_eq!(q.kind(), QueueKind::LockFree);
-        }
+        SharedQueue::new(c, ladder)
     }
 
     #[test]
     fn push_then_batch_preserves_arrival_order() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            for id in 0..5 {
-                q.try_push(dummy_request(id).0).unwrap();
-            }
-            let batch = q.next_batch().unwrap();
-            assert_eq!(
-                batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
-                vec![0, 1, 2, 3, 4],
-                "kind {kind:?}"
-            );
-            assert!(batch.expired.is_empty());
+        let q = queue_of(cfg(8, 100));
+        for id in 0..5 {
+            q.try_push(dummy_request(id).0).unwrap();
         }
+        let batch = q.next_batch().unwrap();
+        assert_eq!(
+            batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
+            vec![0, 1, 2, 3, 4]
+        );
+        assert!(batch.expired.is_empty());
     }
 
     #[test]
     fn batches_respect_max_batch() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(3, 100), kind);
-            for id in 0..7 {
-                q.try_push(dummy_request(id).0).unwrap();
-            }
-            assert_eq!(q.next_batch().unwrap().requests.len(), 3);
-            assert_eq!(q.next_batch().unwrap().requests.len(), 3);
-            assert_eq!(q.next_batch().unwrap().requests.len(), 1);
+        let q = queue_of(cfg(3, 100));
+        for id in 0..7 {
+            q.try_push(dummy_request(id).0).unwrap();
         }
+        assert_eq!(q.next_batch().unwrap().requests.len(), 3);
+        assert_eq!(q.next_batch().unwrap().requests.len(), 3);
+        assert_eq!(q.next_batch().unwrap().requests.len(), 1);
     }
 
     #[test]
     fn depth_cap_sheds_with_overloaded() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 2), kind);
-            q.try_push(dummy_request(0).0).unwrap();
-            q.try_push(dummy_request(1).0).unwrap();
-            let (_, err) = q.try_push(dummy_request(2).0).unwrap_err();
-            assert!(
-                matches!(err, ServeError::Overloaded { depth: 2, .. }),
-                "kind {kind:?}"
-            );
-        }
+        let q = queue_of(cfg(8, 2));
+        q.try_push(dummy_request(0).0).unwrap();
+        q.try_push(dummy_request(1).0).unwrap();
+        let (_, err) = q.try_push(dummy_request(2).0).unwrap_err();
+        assert!(matches!(err, ServeError::Overloaded { depth: 2, .. }));
     }
 
     #[test]
     fn high_priority_arrival_evicts_newest_lower_priority_occupant() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 2), kind);
-            q.try_push(priority_request(0, Priority::Low).0).unwrap();
-            q.try_push(priority_request(1, Priority::Low).0).unwrap();
-            let (victim, err) = q
-                .try_push(priority_request(2, Priority::High).0)
-                .unwrap()
-                .expect("should evict a low-priority occupant");
-            assert_eq!(victim.id, 1, "newest lower-priority request is evicted");
-            assert!(matches!(err, ServeError::Overloaded { .. }));
-            let ids: Vec<u64> = q
-                .next_batch()
-                .unwrap()
-                .requests
-                .iter()
-                .map(|r| r.id)
-                .collect();
-            assert_eq!(ids, vec![0, 2], "kind {kind:?}");
-        }
+        let q = queue_of(cfg(8, 2));
+        q.try_push(priority_request(0, Priority::Low).0).unwrap();
+        q.try_push(priority_request(1, Priority::Low).0).unwrap();
+        let (victim, err) = q
+            .try_push(priority_request(2, Priority::High).0)
+            .unwrap()
+            .expect("should evict a low-priority occupant");
+        assert_eq!(victim.id, 1, "newest lower-priority request is evicted");
+        assert!(matches!(err, ServeError::Overloaded { .. }));
+        let ids: Vec<u64> = q
+            .next_batch()
+            .unwrap()
+            .requests
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, vec![0, 2]);
+    }
+
+    #[test]
+    fn evicting_arrival_takes_the_victims_queue_position() {
+        // The victim is the newest strictly-lower-priority occupant, which
+        // here is not the newest slot: the arrival lands between 0 and 2.
+        let q = queue_of(cfg(8, 3));
+        q.try_push(priority_request(0, Priority::Low).0).unwrap();
+        q.try_push(priority_request(1, Priority::Low).0).unwrap();
+        q.try_push(priority_request(2, Priority::High).0).unwrap();
+        let (victim, _) = q
+            .try_push(priority_request(3, Priority::Normal).0)
+            .unwrap()
+            .expect("should evict a low-priority occupant");
+        assert_eq!(victim.id, 1);
+        let ids: Vec<u64> = q
+            .next_batch()
+            .unwrap()
+            .requests
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, vec![0, 3, 2]);
     }
 
     #[test]
     fn equal_priority_arrival_is_shed_not_evicting() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 1), kind);
-            q.try_push(priority_request(0, Priority::High).0).unwrap();
-            let (shed, err) = q
-                .try_push(priority_request(1, Priority::High).0)
-                .unwrap_err();
-            assert_eq!(shed.id, 1);
-            assert!(
-                matches!(err, ServeError::Overloaded { .. }),
-                "kind {kind:?}"
-            );
-        }
+        let q = queue_of(cfg(8, 1));
+        q.try_push(priority_request(0, Priority::High).0).unwrap();
+        let (shed, err) = q
+            .try_push(priority_request(1, Priority::High).0)
+            .unwrap_err();
+        assert_eq!(shed.id, 1);
+        assert!(matches!(err, ServeError::Overloaded { .. }));
     }
 
     #[test]
     fn expired_requests_are_split_out_of_the_batch() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            let (mut late, _rx_late) = dummy_request(0);
-            late.deadline = Some(Instant::now() - Duration::from_millis(5));
-            let (fresh, _rx_fresh) = dummy_request(1);
-            q.try_push(late).unwrap();
-            q.try_push(fresh).unwrap();
-            let batch = q.next_batch().unwrap();
-            assert_eq!(
-                batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
-                vec![1]
-            );
-            assert_eq!(
-                batch.expired.iter().map(|r| r.id).collect::<Vec<_>>(),
-                vec![0],
-                "kind {kind:?}"
-            );
-        }
+        let q = queue_of(cfg(8, 100));
+        let (mut late, _rx_late) = dummy_request(0);
+        late.deadline = Some(Instant::now() - Duration::from_millis(5));
+        let (fresh, _rx_fresh) = dummy_request(1);
+        q.try_push(late).unwrap();
+        q.try_push(fresh).unwrap();
+        let batch = q.next_batch().unwrap();
+        assert_eq!(
+            batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(),
+            vec![1]
+        );
+        assert_eq!(
+            batch.expired.iter().map(|r| r.id).collect::<Vec<_>>(),
+            vec![0]
+        );
     }
 
     #[test]
     fn requeue_bypasses_closed_admission() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            let (req, _rx) = dummy_request(7);
-            q.close();
-            q.requeue(req);
-            let batch = q.next_batch().unwrap();
-            assert_eq!(batch.requests[0].id, 7);
-            assert!(q.next_batch().is_none(), "kind {kind:?}");
-        }
+        let q = queue_of(cfg(8, 100));
+        let (req, _rx) = dummy_request(7);
+        q.close();
+        q.requeue(req);
+        let batch = q.next_batch().unwrap();
+        assert_eq!(batch.requests[0].id, 7);
+        assert!(q.next_batch().is_none());
     }
 
     #[test]
     fn requeued_request_drains_ahead_of_queued_work() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            q.try_push(dummy_request(0).0).unwrap();
-            q.try_push(dummy_request(1).0).unwrap();
-            let (retry, _rx) = dummy_request(9);
-            q.requeue(retry);
-            let ids: Vec<u64> = q
-                .next_batch()
-                .unwrap()
-                .requests
-                .iter()
-                .map(|r| r.id)
-                .collect();
-            assert_eq!(ids, vec![9, 0, 1], "kind {kind:?}");
-        }
+        let q = queue_of(cfg(8, 100));
+        q.try_push(dummy_request(0).0).unwrap();
+        q.try_push(dummy_request(1).0).unwrap();
+        let (retry, _rx) = dummy_request(9);
+        q.requeue(retry);
+        let ids: Vec<u64> = q
+            .next_batch()
+            .unwrap()
+            .requests
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, vec![9, 0, 1]);
     }
 
     #[test]
     fn delay_budget_sheds_with_overloaded() {
-        for kind in BOTH_KINDS {
-            let mut c = cfg(8, 1_000);
-            c.per_query_service_estimate = 1.0; // 1 s per queued query
-            c.delay_budget = Duration::from_millis(1500);
-            let q = queue_of(c, kind);
-            q.try_push(dummy_request(0).0).unwrap(); // est 0s
-            q.try_push(dummy_request(1).0).unwrap(); // est 1s
-            let (_, err) = q.try_push(dummy_request(2).0).unwrap_err(); // est 2s > 1.5s
-            match err {
-                ServeError::Overloaded {
-                    depth,
-                    estimated_delay_seconds,
-                } => {
-                    assert_eq!(depth, 2);
-                    assert!((estimated_delay_seconds - 2.0).abs() < 1e-9);
-                }
-                other => panic!("expected Overloaded, got {other} (kind {kind:?})"),
+        let mut c = cfg(8, 1_000);
+        c.per_query_service_estimate = 1.0; // 1 s per queued query
+        c.delay_budget = Duration::from_millis(1500);
+        let q = queue_of(c);
+        q.try_push(dummy_request(0).0).unwrap(); // est 0s
+        q.try_push(dummy_request(1).0).unwrap(); // est 1s
+        let (_, err) = q.try_push(dummy_request(2).0).unwrap_err(); // est 2s > 1.5s
+        match err {
+            ServeError::Overloaded {
+                depth,
+                estimated_delay_seconds,
+            } => {
+                assert_eq!(depth, 2);
+                assert!((estimated_delay_seconds - 2.0).abs() < 1e-9);
             }
+            other => panic!("expected Overloaded, got {other}"),
         }
     }
 
     #[test]
     fn closed_queue_sheds_with_shutting_down() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            q.try_push(dummy_request(0).0).unwrap();
-            q.close();
-            let (_, err) = q.try_push(dummy_request(1).0).unwrap_err();
-            assert!(matches!(err, ServeError::ShuttingDown));
-            // Queued work is still drainable.
-            assert_eq!(q.next_batch().unwrap().requests.len(), 1);
-            assert!(q.next_batch().is_none(), "kind {kind:?}");
-        }
+        let q = queue_of(cfg(8, 100));
+        q.try_push(dummy_request(0).0).unwrap();
+        q.close();
+        let (_, err) = q.try_push(dummy_request(1).0).unwrap_err();
+        assert!(matches!(err, ServeError::ShuttingDown));
+        // Queued work is still drainable.
+        assert_eq!(q.next_batch().unwrap().requests.len(), 1);
+        assert!(q.next_batch().is_none());
     }
 
     #[test]
     fn max_wait_coalesces_late_arrivals() {
-        for kind in BOTH_KINDS {
-            let c = BatcherConfig {
-                max_batch: 4,
-                max_wait: Duration::from_millis(200),
-                queue_capacity: 100,
-                delay_budget: Duration::from_secs(3600),
-                per_query_service_estimate: 0.0,
-            };
-            let q = Arc::new(queue_of(c, kind));
-            q.try_push(dummy_request(0).0).unwrap();
-            let pusher = {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(30));
-                    q.try_push(dummy_request(1).0).unwrap();
-                })
-            };
-            // The worker should wait past the 30 ms arrival and coalesce both.
-            let batch = q.next_batch().unwrap();
-            pusher.join().unwrap();
-            assert_eq!(
-                batch.requests.len(),
-                2,
-                "late arrival should join the batch (kind {kind:?})"
-            );
-        }
+        let c = BatcherConfig {
+            max_batch: 4,
+            max_wait: Duration::from_millis(200),
+            queue_capacity: 100,
+            delay_budget: Duration::from_secs(3600),
+            per_query_service_estimate: 0.0,
+        };
+        let q = Arc::new(queue_of(c));
+        q.try_push(dummy_request(0).0).unwrap();
+        let pusher = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                q.try_push(dummy_request(1).0).unwrap();
+            })
+        };
+        // The worker should wait past the 30 ms arrival and coalesce both.
+        let batch = q.next_batch().unwrap();
+        pusher.join().unwrap();
+        assert_eq!(
+            batch.requests.len(),
+            2,
+            "late arrival should join the batch"
+        );
     }
 
     #[test]
     fn try_next_batch_polls_without_blocking() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            assert!(matches!(q.try_next_batch(), BatchPoll::Idle));
-            q.try_push(dummy_request(0).0).unwrap();
-            // max_wait is zero: the single request is immediately releasable.
-            match q.try_next_batch() {
-                BatchPoll::Ready(batch) => assert_eq!(batch.requests.len(), 1),
-                other => panic!("expected Ready, got {other:?} (kind {kind:?})"),
-            }
-            q.close();
-            assert!(matches!(q.try_next_batch(), BatchPoll::Closed));
+        let q = queue_of(cfg(8, 100));
+        assert!(matches!(q.try_next_batch(), BatchPoll::Idle));
+        q.try_push(dummy_request(0).0).unwrap();
+        // max_wait is zero: the single request is immediately releasable.
+        match q.try_next_batch() {
+            BatchPoll::Ready(batch) => assert_eq!(batch.requests.len(), 1),
+            other => panic!("expected Ready, got {other:?}"),
         }
+        q.close();
+        assert!(matches!(q.try_next_batch(), BatchPoll::Closed));
     }
 
     #[test]
     fn try_next_batch_reports_coalescing_deadline() {
-        for kind in BOTH_KINDS {
-            let c = BatcherConfig {
-                max_batch: 4,
-                max_wait: Duration::from_secs(60),
-                queue_capacity: 100,
-                delay_budget: Duration::from_secs(3600),
-                per_query_service_estimate: 0.0,
-            };
-            let q = queue_of(c, kind);
-            let (req, _rx) = dummy_request(0);
-            let submitted = req.submitted_at;
-            q.try_push(req).unwrap();
-            match q.try_next_batch() {
-                BatchPoll::Coalescing(deadline) => {
-                    assert_eq!(
-                        deadline,
-                        submitted + Duration::from_secs(60),
-                        "kind {kind:?}"
-                    );
-                }
-                other => panic!("expected Coalescing, got {other:?} (kind {kind:?})"),
+        let c = BatcherConfig {
+            max_batch: 4,
+            max_wait: Duration::from_secs(60),
+            queue_capacity: 100,
+            delay_budget: Duration::from_secs(3600),
+            per_query_service_estimate: 0.0,
+        };
+        let q = queue_of(c);
+        let (req, _rx) = dummy_request(0);
+        let submitted = req.submitted_at;
+        q.try_push(req).unwrap();
+        match q.try_next_batch() {
+            BatchPoll::Coalescing(deadline) => {
+                assert_eq!(deadline, submitted + Duration::from_secs(60));
             }
-            // A closing queue releases the partial batch immediately.
-            q.close();
-            assert!(matches!(q.try_next_batch(), BatchPoll::Ready(_)));
+            other => panic!("expected Coalescing, got {other:?}"),
         }
+        // A closing queue releases the partial batch immediately.
+        q.close();
+        assert!(matches!(q.try_next_batch(), BatchPoll::Ready(_)));
     }
 
     #[test]
     fn tuned_cap_shrinks_drained_batches() {
-        for kind in BOTH_KINDS {
-            let q = queue_of(cfg(8, 100), kind);
-            q.set_batch_cap(2);
-            for id in 0..5 {
-                q.try_push(dummy_request(id).0).unwrap();
-            }
-            assert_eq!(q.next_batch().unwrap().requests.len(), 2);
-            // Restoring a huge cap falls back to the configured max_batch.
-            q.set_batch_cap(usize::MAX);
-            assert_eq!(q.batch_cap(), 8);
-            assert_eq!(q.next_batch().unwrap().requests.len(), 3, "kind {kind:?}");
+        let q = queue_of(cfg(8, 100));
+        q.set_batch_cap(2);
+        for id in 0..5 {
+            q.try_push(dummy_request(id).0).unwrap();
         }
+        assert_eq!(q.next_batch().unwrap().requests.len(), 2);
+        // Restoring a huge cap falls back to the configured max_batch.
+        q.set_batch_cap(usize::MAX);
+        assert_eq!(q.batch_cap(), 8);
+        assert_eq!(q.next_batch().unwrap().requests.len(), 3);
     }
 
     #[test]
     fn shared_signal_pulses_on_push_and_close() {
-        for kind in BOTH_KINDS {
-            let signal = Arc::new(DispatchSignal::new());
-            let ladder = Arc::new(OverloadLadder::new(DegradeConfig::default(), 100, None));
-            let q = SharedQueue::with_kind(cfg(8, 100), ladder, Some(Arc::clone(&signal)), kind);
-            let before = signal.generation();
-            q.try_push(dummy_request(0).0).unwrap();
-            assert_ne!(signal.generation(), before, "kind {kind:?}");
-            let before = signal.generation();
-            q.close();
-            assert_ne!(signal.generation(), before);
-            // A wait on a stale generation returns immediately.
-            let woke = signal.wait(before, Some(Instant::now() + Duration::from_secs(5)));
-            assert_ne!(woke, before);
-        }
+        let signal = Arc::new(DispatchSignal::new());
+        let ladder = Arc::new(OverloadLadder::new(DegradeConfig::default(), 100, None));
+        let q = SharedQueue::with_signal(cfg(8, 100), ladder, Some(Arc::clone(&signal)));
+        let before = signal.generation();
+        q.try_push(dummy_request(0).0).unwrap();
+        assert_ne!(signal.generation(), before);
+        let before = signal.generation();
+        q.close();
+        assert_ne!(signal.generation(), before);
+        // A wait on a stale generation returns immediately.
+        let woke = signal.wait(before, Some(Instant::now() + Duration::from_secs(5)));
+        assert_ne!(woke, before);
     }
 
     #[test]
     fn full_batch_releases_before_deadline() {
-        for kind in BOTH_KINDS {
-            let c = BatcherConfig {
-                max_batch: 2,
-                max_wait: Duration::from_secs(60),
-                queue_capacity: 100,
-                delay_budget: Duration::from_secs(3600),
-                per_query_service_estimate: 0.0,
-            };
-            let q = queue_of(c, kind);
-            q.try_push(dummy_request(0).0).unwrap();
-            q.try_push(dummy_request(1).0).unwrap();
-            let start = Instant::now();
-            let batch = q.next_batch().unwrap();
-            assert_eq!(batch.requests.len(), 2);
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "must not wait out max_wait (kind {kind:?})"
-            );
-        }
+        let c = BatcherConfig {
+            max_batch: 2,
+            max_wait: Duration::from_secs(60),
+            queue_capacity: 100,
+            delay_budget: Duration::from_secs(3600),
+            per_query_service_estimate: 0.0,
+        };
+        let q = queue_of(c);
+        q.try_push(dummy_request(0).0).unwrap();
+        q.try_push(dummy_request(1).0).unwrap();
+        let start = Instant::now();
+        let batch = q.next_batch().unwrap();
+        assert_eq!(batch.requests.len(), 2);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "must not wait out max_wait"
+        );
     }
 
     #[test]
     fn concurrent_producers_and_consumers_deliver_every_request() {
-        // MPMC smoke for the lock-free leg (and the oracle): 4 producers,
-        // 2 consumers, everything admitted must come out exactly once.
-        for kind in BOTH_KINDS {
-            const PRODUCERS: usize = 4;
-            const PER_PRODUCER: u64 = 250;
-            let q = Arc::new(queue_of(cfg(16, 10_000), kind));
-            let producers: Vec<_> = (0..PRODUCERS)
-                .map(|p| {
-                    let q = Arc::clone(&q);
-                    std::thread::spawn(move || {
-                        for i in 0..PER_PRODUCER {
-                            let id = p as u64 * PER_PRODUCER + i;
-                            q.try_push(dummy_request(id).0).unwrap();
-                        }
-                    })
+        // MPMC smoke: 4 producers, 2 consumers, everything admitted must
+        // come out exactly once.
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: u64 = 250;
+        let q = Arc::new(queue_of(cfg(16, 10_000)));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        let id = p as u64 * PER_PRODUCER + i;
+                        q.try_push(dummy_request(id).0).unwrap();
+                    }
                 })
-                .collect();
-            let consumers: Vec<_> = (0..2)
-                .map(|_| {
-                    let q = Arc::clone(&q);
-                    std::thread::spawn(move || {
-                        let mut seen = Vec::new();
-                        while let Some(batch) = q.next_batch() {
-                            assert!(batch.expired.is_empty());
-                            seen.extend(batch.requests.into_iter().map(|r| r.id));
-                        }
-                        seen
-                    })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut seen = Vec::new();
+                    while let Some(batch) = q.next_batch() {
+                        assert!(batch.expired.is_empty());
+                        seen.extend(batch.requests.into_iter().map(|r| r.id));
+                    }
+                    seen
                 })
-                .collect();
-            for p in producers {
-                p.join().unwrap();
-            }
-            q.close();
-            let mut all: Vec<u64> = consumers
-                .into_iter()
-                .flat_map(|c| c.join().unwrap())
-                .collect();
-            all.sort_unstable();
-            let expect: Vec<u64> = (0..PRODUCERS as u64 * PER_PRODUCER).collect();
-            assert_eq!(all, expect, "kind {kind:?}");
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
         }
+        q.close();
+        let mut all: Vec<u64> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        let expect: Vec<u64> = (0..PRODUCERS as u64 * PER_PRODUCER).collect();
+        assert_eq!(all, expect);
     }
 }

@@ -270,8 +270,7 @@ impl WorkerMetrics {
 pub struct MetricsRegistry {
     // The three per-request hot counters live on their own cache lines:
     // producers bump `accepted`/`shed` while workers bump `completed`,
-    // and padding keeps those writes from ping-ponging one shared line
-    // (measured in `queue_bench`'s counter experiment).
+    // and padding keeps those writes from ping-ponging one shared line.
     accepted: CachePadded<AtomicU64>,
     shed: CachePadded<AtomicU64>,
     completed: CachePadded<AtomicU64>,

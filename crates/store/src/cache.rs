@@ -23,7 +23,7 @@
 //! Hit/miss counters are per-shard and cache-line padded
 //! ([`drec_sync::CachePadded`]): under multi-threaded serving the
 //! previous single shared counter pair turned every lookup into a
-//! false-sharing broadcast; `queue_bench` quantifies the difference.
+//! false-sharing broadcast.
 //!
 //! Recency/frequency bookkeeping uses a single global atomic logical
 //! clock; eviction scans the victim's set (≤ 8 slots), so choosing a

@@ -234,17 +234,47 @@ mod tests {
     #[test]
     fn readers_pinning_after_flip_do_not_block_synchronize() {
         let gc = Arc::new(EpochGc::new());
-        // A reader in the *new* epoch must not stall the writer.
-        gc.synchronize();
-        let _post = gc.pin();
-        gc.synchronize(); // waits only on the bank `_post` is NOT in? No:
-                          // `_post` pinned the current bank, the flip makes
-                          // it the old bank — so this does wait. Pin again
-                          // post-flip and verify an extra sync passes.
-        let _fresh = gc.pin();
-        // `_fresh` lives in the current bank; a hypothetical next flip
-        // would wait on it, but pinned_readers just reports it.
-        assert!(gc.pinned_readers() >= 1);
+        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        // Thread A: a pre-flip pin, held until the test releases it.
+        let reader = {
+            let gc = Arc::clone(&gc);
+            std::thread::spawn(move || {
+                let guard = gc.pin();
+                pinned_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                drop(guard);
+            })
+        };
+        pinned_rx.recv().unwrap();
+        // Thread B: synchronize, which must wait out A's pin.
+        let synced = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let gc = Arc::clone(&gc);
+            let synced = Arc::clone(&synced);
+            std::thread::spawn(move || {
+                gc.synchronize();
+                synced.store(true, std::sync::atomic::Ordering::SeqCst);
+            })
+        };
+        while gc.epoch() == 0 {
+            std::thread::yield_now();
+        }
+        // A third pin, taken after the flip, lands in the new bank.
+        let post = gc.pin();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(
+            !synced.load(std::sync::atomic::Ordering::SeqCst),
+            "synchronize returned while a pre-flip reader was still pinned"
+        );
+        // Releasing A lets synchronize return while `post` is still held.
+        release_tx.send(()).unwrap();
+        writer.join().unwrap();
+        assert!(synced.load(std::sync::atomic::Ordering::SeqCst));
+        assert_eq!(gc.pinned_readers(), 1);
+        drop(post);
+        reader.join().unwrap();
+        assert_eq!(gc.pinned_readers(), 0);
     }
 
     #[test]
