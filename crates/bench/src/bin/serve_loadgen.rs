@@ -21,7 +21,7 @@ use drec_sched::{DecisionSnapshot, GpuSchedConfig, ModelSlo, MultiServeRuntime, 
 use drec_serve::{
     EmbeddingStore, Engine, MetricsSnapshot, RowEncoding, ServeConfig, ServeRuntime, StoreConfig,
 };
-use drec_store::{CombineConfig, TierConfig};
+use drec_store::TierConfig;
 use drec_workload::QueryGen;
 
 const MAX_BATCH: usize = 64;
@@ -401,12 +401,12 @@ fn main() {
             );
             if s.tier_dram_budget_rows > 0 {
                 println!(
-                    "  tier: {}/{} rows DRAM-resident (budget {}), {:.0}% combined DRAM \
-                     hit rate, {} cold demand reads, mean demand wait {:.2} µs",
+                    "  tier: {}/{} rows DRAM-resident (budget {}), {:.0}% DRAM hit \
+                     rate, {} cold demand reads, mean demand wait {:.2} µs",
                     s.tier_dram_resident_rows,
                     s.rows,
                     s.tier_dram_budget_rows,
-                    s.combined_dram_hit_rate() * 100.0,
+                    s.dram_hit_rate() * 100.0,
                     s.tier_cold_demand_reads,
                     s.mean_demand_wait_nanos() / 1e3
                 );
@@ -544,18 +544,13 @@ fn run_multi_model(quick: bool, workers: usize, workload_gen: &std::cell::RefCel
         backlog_capacity: 256,
     });
     // All eight models share one tiered, int8-quantized store: a DRAM
-    // budget of 25% of the co-located rows (the rest modelled as SSD)
-    // with the table-combining cache on, so hot co-occurring row pairs of
-    // the multi-table models collapse into single lookups. Residency is
-    // demand-driven here — the scheduler path has no stream prefetcher.
+    // budget of 25% of the co-located rows (the rest modelled as SSD).
+    // Residency is demand-driven here — the scheduler path has no stream
+    // prefetcher.
     cfg.store = Some(StoreConfig {
         encoding: RowEncoding::Int8,
         cache_capacity_rows: 1024,
-        tier: Some({
-            let mut tier = TierConfig::new(4096);
-            tier.combine = Some(CombineConfig::default());
-            tier
-        }),
+        tier: Some(TierConfig::new(4096)),
         ..StoreConfig::default()
     });
     let sched_seed = cfg.seed;
@@ -657,20 +652,13 @@ fn run_multi_model(quick: bool, workers: usize, workload_gen: &std::cell::RefCel
         println!("{}", residency.render());
         let s = store.stats();
         println!(
-            "  tier: {}/{} rows DRAM-resident (budget {}), {:.0}% combined DRAM hit \
-             rate, {} cold demand reads",
+            "  tier: {}/{} rows DRAM-resident (budget {}), {:.0}% DRAM hit rate, \
+             {} cold demand reads",
             s.tier_dram_resident_rows,
             s.rows,
             s.tier_dram_budget_rows,
-            s.combined_dram_hit_rate() * 100.0,
+            s.dram_hit_rate() * 100.0,
             s.tier_cold_demand_reads
-        );
-        println!(
-            "  combining: {} resident pairs, {} hits ({} lookups saved, {:.1}% cut)",
-            s.combined_resident_pairs,
-            s.combined_hits,
-            s.combined_lookups_saved,
-            s.combined_lookup_cut() * 100.0
         );
     }
     println!("Scheduler decisions (batches per power-of-two size bucket):");

@@ -25,20 +25,16 @@
 //!   for every cold decode on the active backend,
 //! * tiered DRAM/SSD legs under Zipf s = 1.0 with the DRAM budget at
 //!   25% of rows (virtual cold-read charging, so deterministic in both
-//!   modes): combined DRAM hit rate ≥ 80%, tiering alone ≥ 5× the
-//!   DRAM-only mean lookup while stream prefetch pulls it back ≤ 2×
-//!   and converts ≥ 50% of would-be cold demand misses, and the
-//!   table-combining cache cuts lookups ≥ 15% on correlated two-table
-//!   traffic.
+//!   modes): DRAM hit rate ≥ 80%, tiering alone ≥ 5× the DRAM-only
+//!   mean lookup, and stream prefetch pulls it back ≤ 2× while
+//!   converting ≥ 50% of would-be cold demand misses.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use drec_models::{ModelId, ModelScale};
 use drec_par::ParPool;
-use drec_store::{
-    quantize_row, CombineConfig, EmbeddingStore, RowEncoding, StoreConfig, TierConfig,
-};
+use drec_store::{quantize_row, EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
 use drec_tensor::simd::{self, KernelBackend};
 use drec_tensor::ParamInit;
 use drec_workload::{CategoricalDist, QueryGen};
@@ -53,7 +49,7 @@ const COMPRESSION_GATE: f64 = 3.0;
 /// kernel_bench's raw-kernel gate: the store path pays shard locks and
 /// counter atomics the oracle loop doesn't.
 const DECODE_SPEEDUP_GATE: f64 = 1.3;
-/// Required combined (cache + tier) DRAM hit rate under Zipf s = 1.0
+/// Required DRAM (cache + tier) hit rate under Zipf s = 1.0
 /// with the DRAM budget at 25% of rows. Asserted in smoke too: the
 /// cold-read model charges virtual nanoseconds, so the tiered gates are
 /// deterministic.
@@ -61,9 +57,6 @@ const TIER_HIT_RATE_GATE: f64 = 0.80;
 /// Required fraction of would-be cold demand misses the stream
 /// prefetcher converts into DRAM hits.
 const PREFETCH_CONVERSION_GATE: f64 = 0.50;
-/// Required lookup-count reduction from the table-combining cache on
-/// correlated two-table traffic.
-const COMBINE_CUT_GATE: f64 = 0.15;
 /// Tiering without prefetch must be at least this many times slower than
 /// DRAM-only per mean lookup — i.e. the cold tier genuinely hurts.
 const TIERED_SLOWDOWN_FLOOR: f64 = 5.0;
@@ -403,7 +396,6 @@ struct TierRow {
     cold_demand_reads: u64,
     prefetch_issued: u64,
     prefetch_conversion: f64,
-    combined_cut: f64,
     mean_lookup_ns: f64,
     slowdown: f64,
 }
@@ -415,9 +407,7 @@ struct TierRow {
 /// * `tiered` — demand misses pay the simulated cold read,
 /// * `tiered_prefetch` — a 64-query stream window issues
 ///   intent + fill before the demand lookups, modelling the serve-side
-///   prefetcher with perfect lookahead,
-/// * `tiered_combined` — two tables in one combining store driven by
-///   correlated pair traffic through `sum_row_pair`.
+///   prefetcher with perfect lookahead.
 ///
 /// The cold-read model charges *virtual* nanoseconds
 /// ([`drec_store::Pacing::Charge`]), so every number here is
@@ -457,11 +447,10 @@ fn bench_tiered(
     };
     let row_for = |leg: &'static str, delta: &drec_store::StoreStats, mean_ns: f64| TierRow {
         leg,
-        dram_hit_rate: delta.combined_dram_hit_rate(),
+        dram_hit_rate: delta.dram_hit_rate(),
         cold_demand_reads: delta.tier_cold_demand_reads,
         prefetch_issued: delta.prefetch_issued,
         prefetch_conversion: delta.prefetch_conversion(),
-        combined_cut: delta.combined_lookup_cut(),
         mean_lookup_ns: mean_ns,
         slowdown: mean_ns / NOMINAL_DRAM_NS,
     };
@@ -534,46 +523,6 @@ fn bench_tiered(
         out.push(row_for("tiered_prefetch", &delta, mean));
     }
 
-    // Leg 4: tiered + table combining — two tables in one store, 70% of
-    // queries hitting a correlated (a, perm(a)) pair, the co-occurrence
-    // structure MicroRec-style combining exploits.
-    {
-        let half = rows / 2;
-        let mut tier = TierConfig::new(budget);
-        tier.admit_after = 2;
-        tier.combine = Some(CombineConfig::default());
-        let store = make_store(Some(tier));
-        let ha = store
-            .register(1, 0, half, dim, &data[..half * dim])
-            .expect("register a");
-        let hb = store
-            .register(1, 1, half, dim, &data[half * dim..2 * half * dim])
-            .expect("register b");
-        let (pa, pb) = (store.pin(ha), store.pin(hb));
-        let mut rng = ParamInit::new(0xC0B1);
-        let mut coin = 0xC01Du64;
-        let mut acc_b = vec![0.0f32; dim];
-        let mut run = |n: usize, acc: &mut [f32], acc_b: &mut [f32]| {
-            for _ in 0..n {
-                let a = dist.sample(&mut rng, half);
-                coin ^= coin << 13;
-                coin ^= coin >> 7;
-                coin ^= coin << 17;
-                let b = if coin % 10 < 7 {
-                    ((u64::from(a) * 0x9E37_79B1 + 7) % half as u64) as u32
-                } else {
-                    dist.sample(&mut rng, half)
-                };
-                pa.sum_row_pair(a, acc, &pb, b, acc_b);
-            }
-        };
-        run(warm, &mut acc, &mut acc_b);
-        let base = store.stats();
-        run(measure, &mut acc, &mut acc_b);
-        let delta = store.stats().since(&base);
-        let mean = NOMINAL_DRAM_NS + delta.mean_demand_wait_nanos();
-        out.push(row_for("tiered_combined", &delta, mean));
-    }
     std::hint::black_box(&acc);
     out
 }
@@ -661,13 +610,12 @@ fn write_json(
     s.push_str("  ],\n  \"tiered\": [\n");
     for (i, r) in tiered.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"leg\": \"{}\", \"dram_hit_rate\": {}, \"cold_demand_reads\": {}, \"prefetch_issued\": {}, \"prefetch_conversion\": {}, \"combined_lookup_cut\": {}, \"mean_lookup_ns\": {}, \"slowdown_vs_dram\": {}}}{}\n",
+            "    {{\"leg\": \"{}\", \"dram_hit_rate\": {}, \"cold_demand_reads\": {}, \"prefetch_issued\": {}, \"prefetch_conversion\": {}, \"mean_lookup_ns\": {}, \"slowdown_vs_dram\": {}}}{}\n",
             r.leg,
             json_f64(r.dram_hit_rate),
             r.cold_demand_reads,
             r.prefetch_issued,
             json_f64(r.prefetch_conversion),
-            json_f64(r.combined_cut),
             json_f64(r.mean_lookup_ns),
             json_f64(r.slowdown),
             if i + 1 < tiered.len() { "," } else { "" }
@@ -704,10 +652,6 @@ fn write_json(
     s.push_str(&format!(
         "    \"prefetch_conversion\": {},\n    \"prefetch_conversion_gate\": {PREFETCH_CONVERSION_GATE},\n",
         tier_leg("tiered_prefetch").map_or("null".to_string(), |r| json_f64(r.prefetch_conversion))
-    ));
-    s.push_str(&format!(
-        "    \"combined_lookup_cut\": {},\n    \"combine_cut_gate\": {COMBINE_CUT_GATE},\n",
-        tier_leg("tiered_combined").map_or("null".to_string(), |r| json_f64(r.combined_cut))
     ));
     s.push_str(&format!(
         "    \"tiered_slowdown\": {},\n    \"tiered_slowdown_floor\": {TIERED_SLOWDOWN_FLOOR},\n",
@@ -826,13 +770,12 @@ fn main() {
     let tiered = bench_tiered(rows, dim, &data, warm, measure);
     for r in &tiered {
         println!(
-            "  {:<16} DRAM hit {:>5.1}%, cold demand {:>6}, prefetch issued {:>6} (conv {:>5.1}%), combine cut {:>5.1}%, mean lookup {:>8.0} ns ({:.2}x DRAM-only)",
+            "  {:<16} DRAM hit {:>5.1}%, cold demand {:>6}, prefetch issued {:>6} (conv {:>5.1}%), mean lookup {:>8.0} ns ({:.2}x DRAM-only)",
             r.leg,
             r.dram_hit_rate * 100.0,
             r.cold_demand_reads,
             r.prefetch_issued,
             r.prefetch_conversion * 100.0,
-            r.combined_cut * 100.0,
             r.mean_lookup_ns,
             r.slowdown
         );
@@ -924,7 +867,7 @@ fn main() {
     let t = tier_leg("tiered");
     assert!(
         t.dram_hit_rate >= TIER_HIT_RATE_GATE,
-        "combined DRAM hit rate {:.3} at 25% budget, Zipf s=1.0 below the {TIER_HIT_RATE_GATE} gate",
+        "DRAM hit rate {:.3} at 25% budget, Zipf s=1.0 below the {TIER_HIT_RATE_GATE} gate",
         t.dram_hit_rate
     );
     assert!(
@@ -943,22 +886,14 @@ fn main() {
         "mean lookup with prefetch {:.2}x DRAM-only exceeds the {PREFETCH_SLOWDOWN_CEILING}x ceiling",
         p.slowdown
     );
-    let c = tier_leg("tiered_combined");
-    assert!(
-        c.combined_cut >= COMBINE_CUT_GATE,
-        "table combining cut lookups by only {:.3} on correlated pair traffic (gate {COMBINE_CUT_GATE})",
-        c.combined_cut
-    );
     println!(
-        "Gate: tier DRAM hit {:.1}% >= {:.0}%, tiered-alone {:.1}x >= {TIERED_SLOWDOWN_FLOOR}x, prefetch conv {:.1}% >= {:.0}% at {:.2}x <= {PREFETCH_SLOWDOWN_CEILING}x, combine cut {:.1}% >= {:.0}% — ok",
+        "Gate: tier DRAM hit {:.1}% >= {:.0}%, tiered-alone {:.1}x >= {TIERED_SLOWDOWN_FLOOR}x, prefetch conv {:.1}% >= {:.0}% at {:.2}x <= {PREFETCH_SLOWDOWN_CEILING}x — ok",
         t.dram_hit_rate * 100.0,
         TIER_HIT_RATE_GATE * 100.0,
         t.slowdown,
         p.prefetch_conversion * 100.0,
         PREFETCH_CONVERSION_GATE * 100.0,
-        p.slowdown,
-        c.combined_cut * 100.0,
-        COMBINE_CUT_GATE * 100.0
+        p.slowdown
     );
     println!("All checks passed.");
 }

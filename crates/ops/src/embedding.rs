@@ -208,45 +208,6 @@ impl EmbeddingTable {
         ((id as usize) % self.physical_rows) as u32
     }
 
-    /// Whether a pooled lookup pair across `self` and `other` can be
-    /// served by the table-combining cache: both store-backed, same
-    /// store, combining configured.
-    pub(crate) fn combinable_with(&self, other: &EmbeddingTable) -> bool {
-        match (&self.backing, &other.backing) {
-            (Backing::Store(a), Backing::Store(b)) => {
-                Arc::ptr_eq(a.store(), b.store()) && a.store().combining_enabled()
-            }
-            _ => false,
-        }
-    }
-
-    /// Adds `self[id]` into `acc` and `other[other_id]` into `other_acc`
-    /// through the store's table-combining cache when both tables share a
-    /// combining store ([`PinnedTable::sum_row_pair`]); otherwise two
-    /// plain [`EmbeddingTable::sum_row`] calls. Either way the adds are
-    /// bit-identical to the unpaired path.
-    pub(crate) fn sum_row_pair(
-        &self,
-        id: u32,
-        acc: &mut [f32],
-        other: &EmbeddingTable,
-        other_id: u32,
-        other_acc: &mut [f32],
-    ) {
-        if let (Backing::Store(pa), Backing::Store(pb)) = (&self.backing, &other.backing) {
-            pa.sum_row_pair(
-                self.physical_row(id),
-                acc,
-                pb,
-                other.physical_row(other_id),
-                other_acc,
-            );
-            return;
-        }
-        self.sum_row(id, acc);
-        other.sum_row(other_id, other_acc);
-    }
-
     /// Bytes of parameters at the *virtual* size (what a production
     /// deployment would hold).
     pub fn virtual_bytes(&self) -> u64 {

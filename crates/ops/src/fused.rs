@@ -294,79 +294,13 @@ impl Operator for MultiTableSls {
             // unchanged — bit-identical to the serial unfused path.
             let pool = drec_par::current();
             let chunk = sample_chunk_elems(batch, total, pool.threads());
-            // Adjacent pooled segments whose tables live in the same
-            // combining store route each sample's leading id pair through
-            // the table-combining cache (one lookup for two rows when the
-            // pair is hot). Decided once per table pair, not per sample.
-            let mut pair_with_next = vec![false; segments.len()];
-            let mut i = 0usize;
-            while i + 1 < segments.len() {
-                if let (Segment::Pooled { sls: a, .. }, Segment::Pooled { sls: b, .. }) =
-                    (&segments[i], &segments[i + 1])
-                {
-                    if a.table().combinable_with(b.table()) {
-                        pair_with_next[i] = true;
-                        i += 2;
-                        continue;
-                    }
-                }
-                i += 1;
-            }
             pool.for_each_chunk_mut(out.as_mut_slice(), chunk, |offset, block| {
                 let first = offset / total;
                 for (s, row) in block.chunks_mut(total).enumerate() {
                     let sample = first + s;
-                    let mut i = 0usize;
-                    while i < segments.len() {
-                        if pair_with_next[i] {
-                            let (
-                                Segment::Pooled {
-                                    sls: sa,
-                                    ids: ia,
-                                    starts: sta,
-                                },
-                                Segment::Pooled {
-                                    sls: sb,
-                                    ids: ib,
-                                    starts: stb,
-                                },
-                            ) = (&segments[i], &segments[i + 1])
-                            else {
-                                unreachable!("pair flags only mark pooled segments");
-                            };
-                            let (wa, wb) = (widths[i], widths[i + 1]);
-                            let seg_off = offsets[i];
-                            let (da, db) = row[seg_off..seg_off + wa + wb].split_at_mut(wa);
-                            let (la, lb) = (ia.lengths[sample], ib.lengths[sample]);
-                            let ids_a = &ia.ids[sta[sample]..sta[sample] + la as usize];
-                            let ids_b = &ib.ids[stb[sample]..stb[sample] + lb as usize];
-                            if let (Some(&a0), Some(&b0)) = (ids_a.first(), ids_b.first()) {
-                                // Leading ids go through the pair lookup;
-                                // per-accumulator add order is unchanged
-                                // (first id first), so bits are identical.
-                                sa.table().sum_row_pair(a0, da, sb.table(), b0, db);
-                                for &id in &ids_a[1..] {
-                                    sa.table().sum_row(id, da);
-                                }
-                                for &id in &ids_b[1..] {
-                                    sb.table().sum_row(id, db);
-                                }
-                            } else {
-                                for &id in ids_a {
-                                    sa.table().sum_row(id, da);
-                                }
-                                for &id in ids_b {
-                                    sb.table().sum_row(id, db);
-                                }
-                            }
-                            pool_segment(da, sa.mode(), la);
-                            pool_segment(db, sb.mode(), lb);
-                            i += 2;
-                            continue;
-                        }
-                        let (off, w) = (offsets[i], widths[i]);
+                    for ((seg, &off), &w) in segments.iter().zip(&offsets).zip(&widths) {
                         let dst = &mut row[off..off + w];
-                        match &segments[i] {
+                        match seg {
                             Segment::Pooled { sls, ids, starts } => {
                                 let len = ids.lengths[sample];
                                 let start = starts[sample];
@@ -379,7 +313,6 @@ impl Operator for MultiTableSls {
                                 dst.copy_from_slice(&data[sample * w..(sample + 1) * w]);
                             }
                         }
-                        i += 1;
                     }
                 }
             });
@@ -663,22 +596,16 @@ mod tests {
     }
 
     #[test]
-    fn multi_table_combining_store_is_bitwise_and_saves_lookups() {
-        use drec_store::{CombineConfig, EmbeddingStore, StoreConfig, TierConfig};
+    fn multi_table_tiered_store_is_bitwise_to_dense_reference() {
+        use drec_store::{EmbeddingStore, StoreConfig, TierConfig};
 
-        // Store-backed tables in a combining store: fused output must stay
-        // bit-identical to the dense unfused reference on every run, while
-        // repeated leading-id pairs promote into the combine cache and
-        // start saving lookups.
+        // Store-backed tables in a tiered store: fused output must stay
+        // bit-identical to the dense unfused reference on every run,
+        // whatever the tier's residency does between runs.
         let (mut ctx, mut init) = setup();
         ctx.set_tracing(false);
-        let mut tier = TierConfig::new(64);
-        tier.combine = Some(CombineConfig {
-            promote_after: 1,
-            ..CombineConfig::default()
-        });
         let store = Arc::new(EmbeddingStore::new(StoreConfig {
-            tier: Some(tier),
+            tier: Some(TierConfig::new(64)),
             ..StoreConfig::default()
         }));
         let t0 =
@@ -712,8 +639,6 @@ mod tests {
         )
         .unwrap();
 
-        // Every sample leads with the pair (1, 7): promoted on the first
-        // run's observations, served combined afterwards.
         let ids0 = ctx.external_input(Value::ids(IdList::new(vec![1, 2, 1, 5, 1, 2], vec![2; 3])));
         let ids1 = ctx.external_input(Value::ids(IdList::new(vec![7, 8, 7, 9, 7, 8], vec![2; 3])));
         let p0 = r[0].run(&mut rctx, &[&ids0]).unwrap();
@@ -731,10 +656,5 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        let stats = store.stats();
-        assert!(
-            stats.combined_hits > 0 && stats.combined_lookups_saved > 0,
-            "hot pair never served combined: {stats:?}"
-        );
     }
 }

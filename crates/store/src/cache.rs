@@ -15,7 +15,7 @@
 //! takes **no shard-wide lock**: a reader matches the slot's atomic key,
 //! acquires that slot's `RwLock` in read mode (contended only by an
 //! eviction targeting the same slot), re-verifies the key, and bumps the
-//! recency/frequency atomics. Writers (insert, invalidate) serialize per
+//! slot's recency stamp. Writers (insert, invalidate) serialize per
 //! shard on a small mutex and touch only the victim slot's write lock,
 //! so inserts in one shard never stall hits in another — and hits in the
 //! *same* shard only stall if they race the victim slot itself.
@@ -25,33 +25,15 @@
 //! previous single shared counter pair turned every lookup into a
 //! false-sharing broadcast.
 //!
-//! Recency/frequency bookkeeping uses a single global atomic logical
-//! clock; eviction scans the victim's set (≤ 8 slots), so choosing a
-//! victim is O(ways) regardless of cache size. Capacity is rounded up to
+//! Eviction is LRU within a set: recency stamps come from a single
+//! global atomic logical clock, and eviction scans the victim's set
+//! (≤ 8 slots), so choosing a victim is O(ways) regardless of cache
+//! size. Capacity is rounded up to
 //! whole sets: [`HotRowCache::capacity_rows`] reports the physical slot
 //! count the cache will actually hold.
 
 use drec_sync::atomic::{AtomicU64, Ordering};
 use drec_sync::{CachePadded, Mutex, RwLock};
-
-/// Which victim the cache evicts when a shard is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CachePolicy {
-    /// Evict the least-recently-used row (smallest access stamp).
-    Lru,
-    /// Evict the least-frequently-used row, ties broken by recency.
-    Lfu,
-}
-
-impl CachePolicy {
-    /// Short lowercase name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CachePolicy::Lru => "lru",
-            CachePolicy::Lfu => "lfu",
-        }
-    }
-}
 
 /// Sentinel for a vacant slot. Row keys are `(table << 32) | row`, and a
 /// table id of `u32::MAX` would need 4 billion embedding tables, so the
@@ -71,8 +53,6 @@ struct Slot {
     key: AtomicU64,
     /// Logical time of the last access (from the global clock).
     stamp: AtomicU64,
-    /// Access count since insertion.
-    uses: AtomicU64,
     row: RwLock<Box<[f32]>>,
 }
 
@@ -81,7 +61,6 @@ impl Slot {
         Slot {
             key: AtomicU64::new(EMPTY),
             stamp: AtomicU64::new(0),
-            uses: AtomicU64::new(0),
             row: RwLock::new(Box::new([])),
         }
     }
@@ -104,7 +83,6 @@ pub struct HotRowCache {
     shards: Vec<Shard>,
     sets: usize,
     ways: usize,
-    policy: CachePolicy,
     clock: AtomicU64,
     evictions: AtomicU64,
     resident: AtomicU64,
@@ -116,7 +94,7 @@ impl HotRowCache {
     /// [`HotRowCache::capacity_rows`]). `capacity_rows == 0` disables the
     /// cache entirely ([`HotRowCache::enabled`] returns false and lookups
     /// bypass it).
-    pub fn new(capacity_rows: usize, shard_count: usize, policy: CachePolicy) -> HotRowCache {
+    pub fn new(capacity_rows: usize, shard_count: usize) -> HotRowCache {
         let shard_count = shard_count.max(1).min(capacity_rows.max(1));
         let per_shard_capacity = capacity_rows.div_ceil(shard_count);
         let ways = per_shard_capacity.min(MAX_WAYS);
@@ -136,7 +114,6 @@ impl HotRowCache {
                 .collect(),
             sets,
             ways,
-            policy,
             clock: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             resident: AtomicU64::new(0),
@@ -159,7 +136,7 @@ impl HotRowCache {
     }
 
     /// Runs `f` on the cached row for `key` if present (bumping its
-    /// recency/frequency and counting a hit); counts a miss and returns
+    /// recency and counting a hit); counts a miss and returns
     /// `None` otherwise.
     pub fn with_row<R>(&self, key: u64, f: impl FnOnce(&[f32]) -> R) -> Option<R> {
         if !self.enabled() {
@@ -180,7 +157,6 @@ impl HotRowCache {
                 self.clock.fetch_add(1, Ordering::Relaxed),
                 Ordering::Relaxed,
             );
-            slot.uses.fetch_add(1, Ordering::Relaxed);
             shard.hits.fetch_add(1, Ordering::Relaxed);
             return Some(f(&row));
         }
@@ -188,8 +164,8 @@ impl HotRowCache {
         None
     }
 
-    /// Inserts a freshly decoded row, evicting the set's policy victim if
-    /// every way is occupied. A concurrent insert of the same key wins
+    /// Inserts a freshly decoded row, evicting the set's least recently
+    /// used row if every way is occupied. A concurrent insert of the same key wins
     /// silently.
     pub fn insert(&self, key: u64, row: Box<[f32]>) {
         if !self.enabled() {
@@ -212,13 +188,7 @@ impl HotRowCache {
             None => {
                 let occupied = set
                     .iter()
-                    .min_by_key(|slot| match self.policy {
-                        CachePolicy::Lru => (slot.stamp.load(Ordering::Relaxed), 0),
-                        CachePolicy::Lfu => (
-                            slot.uses.load(Ordering::Relaxed),
-                            slot.stamp.load(Ordering::Relaxed),
-                        ),
-                    })
+                    .min_by_key(|slot| slot.stamp.load(Ordering::Relaxed))
                     .expect("ways >= 1");
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 self.resident.fetch_sub(1, Ordering::Relaxed);
@@ -233,7 +203,6 @@ impl HotRowCache {
             self.clock.fetch_add(1, Ordering::Relaxed),
             Ordering::Relaxed,
         );
-        victim.uses.store(1, Ordering::Relaxed);
         victim.key.store(key, Ordering::Release);
         self.resident.fetch_add(1, Ordering::Relaxed);
     }
@@ -298,7 +267,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_is_a_no_op() {
-        let cache = HotRowCache::new(0, 8, CachePolicy::Lru);
+        let cache = HotRowCache::new(0, 8);
         assert!(!cache.enabled());
         cache.insert(1, row(1.0));
         assert_eq!(cache.with_row(1, |_| ()), None);
@@ -310,7 +279,7 @@ mod tests {
 
     #[test]
     fn hit_miss_counters_track_accesses() {
-        let cache = HotRowCache::new(8, 1, CachePolicy::Lru);
+        let cache = HotRowCache::new(8, 1);
         assert_eq!(cache.with_row(5, |_| ()), None);
         cache.insert(5, row(5.0));
         assert_eq!(cache.with_row(5, |r| r[0]), Some(5.0));
@@ -321,7 +290,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = HotRowCache::new(2, 1, CachePolicy::Lru);
+        let cache = HotRowCache::new(2, 1);
         cache.insert(1, row(1.0));
         cache.insert(2, row(2.0));
         // Touch 1 so 2 is the LRU victim.
@@ -335,21 +304,8 @@ mod tests {
     }
 
     #[test]
-    fn lfu_evicts_least_frequently_used() {
-        let cache = HotRowCache::new(2, 1, CachePolicy::Lfu);
-        cache.insert(1, row(1.0));
-        cache.insert(2, row(2.0));
-        // 1 gets 3 uses total, 2 stays at its insertion count.
-        assert!(cache.with_row(1, |_| ()).is_some());
-        assert!(cache.with_row(1, |_| ()).is_some());
-        cache.insert(3, row(3.0));
-        assert!(cache.with_row(2, |_| ()).is_none(), "2 should be evicted");
-        assert!(cache.with_row(1, |_| ()).is_some());
-    }
-
-    #[test]
     fn invalidate_removes_entry() {
-        let cache = HotRowCache::new(4, 2, CachePolicy::Lru);
+        let cache = HotRowCache::new(4, 2);
         cache.insert(7, row(7.0));
         assert!(cache.with_row(7, |_| ()).is_some());
         cache.invalidate(7);
@@ -359,7 +315,7 @@ mod tests {
 
     #[test]
     fn capacity_is_bounded_across_shards() {
-        let cache = HotRowCache::new(16, 4, CachePolicy::Lru);
+        let cache = HotRowCache::new(16, 4);
         for k in 0..200u64 {
             cache.insert(k, row(k as f32));
         }
@@ -377,7 +333,7 @@ mod tests {
         // Readers must only ever observe the row bytes matching the key
         // they asked for, even while inserts recycle slots under them.
         use std::sync::Arc;
-        let cache = Arc::new(HotRowCache::new(32, 4, CachePolicy::Lru));
+        let cache = Arc::new(HotRowCache::new(32, 4));
         let writers: Vec<_> = (0..2)
             .map(|w| {
                 let cache = Arc::clone(&cache);

@@ -207,6 +207,47 @@ impl RowData {
         }
     }
 
+    /// Copies row `r`'s stored bytes out as a one-row `RowData`, so
+    /// [`RowData::restore_row`] can put them back unchanged.
+    pub(crate) fn row_copy(&self, r: usize, dim: usize) -> RowData {
+        let span = r * dim..(r + 1) * dim;
+        match self {
+            RowData::F32(data) => RowData::F32(data[span].into()),
+            RowData::F16(data) => RowData::F16(data[span].into()),
+            RowData::Int8 { q, scale, bias } => RowData::Int8 {
+                q: q[span].into(),
+                scale: Box::new([scale[r]]),
+                bias: Box::new([bias[r]]),
+            },
+        }
+    }
+
+    /// Writes a [`RowData::row_copy`] back into row `r` byte for byte.
+    ///
+    /// # Panics
+    ///
+    /// When `copy` was taken from data in another encoding.
+    pub(crate) fn restore_row(&mut self, r: usize, dim: usize, copy: &RowData) {
+        let span = r * dim..(r + 1) * dim;
+        match (self, copy) {
+            (RowData::F32(data), RowData::F32(old)) => data[span].copy_from_slice(old),
+            (RowData::F16(data), RowData::F16(old)) => data[span].copy_from_slice(old),
+            (
+                RowData::Int8 { q, scale, bias },
+                RowData::Int8 {
+                    q: old_q,
+                    scale: old_scale,
+                    bias: old_bias,
+                },
+            ) => {
+                q[span].copy_from_slice(old_q);
+                scale[r] = old_scale[0];
+                bias[r] = old_bias[0];
+            }
+            _ => panic!("restore_row: encoding mismatch"),
+        }
+    }
+
     /// Bytes this shard's rows occupy resident (payload only; allocator
     /// overhead excluded).
     pub(crate) fn resident_bytes(&self) -> u64 {

@@ -17,7 +17,7 @@
 //!   to a dense tensor), `f16`, and `int8` with per-row scale/bias. Every
 //!   lossy encoding documents an exact maximum absolute dequantization
 //!   error ([`RowEncoding::error_bound`]), enforced by tests.
-//! * **Hot-row cache** ([`HotRowCache`]) — a capacity-bounded LRU/LFU
+//! * **Hot-row cache** ([`HotRowCache`]) — a capacity-bounded LRU
 //!   cache of *decoded* rows in front of the cold shards, with atomic
 //!   hit/miss/evict counters surfaced through [`EmbeddingStore::stats`].
 //! * **DRAM/SSD tiering** ([`StoreConfig::tier`], via [`drec_tier`]) —
@@ -25,9 +25,7 @@
 //!   cold rows charge a seeded, queue-depth-aware read latency and get
 //!   promoted. [`PinnedTable::note_prefetch_intent`] /
 //!   [`PinnedTable::prefetch_row`] let the serving runtime stream rows
-//!   into DRAM ahead of batch drain, and
-//!   [`PinnedTable::sum_row_pair`] serves frequently co-occurring row
-//!   pairs from a table-combining cache with one lookup instead of two.
+//!   into DRAM ahead of batch drain.
 //!
 //! * **Versioned live updates** ([`EmbeddingStore::apply_update`]) —
 //!   batches of row deltas ([`UpdateBatch`]) apply atomically and
@@ -39,8 +37,8 @@
 //!
 //! Determinism guarantees: decoding is a pure function of the stored
 //! bytes, and cached rows are exactly the decoded rows — so cache state
-//! (including evictions and cross-worker races), tier residency,
-//! prefetch timing, and combining can never change a model's output,
+//! (including evictions and cross-worker races), tier residency, and
+//! prefetch timing can never change a model's output,
 //! and the `F32` encoding reproduces the direct dense-tensor path bit
 //! for bit.
 
@@ -48,7 +46,7 @@ mod cache;
 mod encoding;
 mod store;
 
-pub use cache::{CachePolicy, HotRowCache};
+pub use cache::HotRowCache;
 pub use drec_faultsim::UpdateFault;
 pub use drec_tier::{ColdReadModel, CombineConfig, Pacing, TierConfig, TierStats};
 pub use encoding::{f16_bits_to_f32, f32_to_f16_bits, quantize_row, RowEncoding};

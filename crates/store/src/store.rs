@@ -8,10 +8,13 @@ use drec_faultsim::{FaultHook, ReadFault, UpdateFault};
 use drec_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use drec_sync::{CachePadded, EpochGc, EpochGuard, Mutex, RwLock};
 use drec_tensor::simd::KernelPath;
-use drec_tier::{CombineCache, TierConfig, TierEngine};
+use drec_tier::{TierConfig, TierEngine};
 
-use crate::cache::{CachePolicy, HotRowCache};
+use crate::cache::HotRowCache;
 use crate::encoding::{RowData, RowEncoding};
+
+/// Lock shards inside the hot-row cache.
+const CACHE_SHARDS: usize = 16;
 
 /// Configuration for an [`EmbeddingStore`].
 #[derive(Debug, Clone)]
@@ -20,12 +23,9 @@ pub struct StoreConfig {
     pub encoding: RowEncoding,
     /// Row-range shards per table (each behind its own lock).
     pub shards_per_table: usize,
-    /// Hot-row cache capacity in rows (0 disables the cache).
+    /// Hot-row cache capacity in rows (0 disables the cache). The cache
+    /// is LRU within each set.
     pub cache_capacity_rows: usize,
-    /// Eviction policy for the hot-row cache.
-    pub cache_policy: CachePolicy,
-    /// Lock shards inside the hot-row cache.
-    pub cache_shards: usize,
     /// DRAM/SSD tiering (see [`drec_tier`]); `None` keeps the whole
     /// store DRAM-resident. Residency only decides latency charging and
     /// counters — values always decode from the same encoded shards, so
@@ -39,8 +39,6 @@ impl Default for StoreConfig {
             encoding: RowEncoding::F32,
             shards_per_table: 8,
             cache_capacity_rows: 0,
-            cache_policy: CachePolicy::Lru,
-            cache_shards: 16,
             tier: None,
         }
     }
@@ -285,6 +283,25 @@ impl StoredTable {
     }
 
     fn write_row(&self, row: u32, values: &[f32]) {
+        self.rewrite(row, |data, r, dim| data.write_row(r, dim, values));
+    }
+
+    /// The row's stored bytes, for an update's undo log.
+    fn row_copy(&self, row: u32) -> RowData {
+        let (s, r) = self.locate(row);
+        self.shards[s].read().row_copy(r, self.dim)
+    }
+
+    /// Puts back bytes taken by [`StoredTable::row_copy`] verbatim.
+    /// Re-encoding the decoded values instead is not exact: int8
+    /// quantization of a decoded int8 row can land on different bytes.
+    fn restore_row(&self, row: u32, old: &RowData) {
+        self.rewrite(row, |data, r, dim| data.restore_row(r, dim, old));
+    }
+
+    /// Rewrites one row under its shard's write lock, then bumps the
+    /// write stamp.
+    fn rewrite(&self, row: u32, write: impl FnOnce(&mut RowData, usize, usize)) {
         // Write first, stamp after. The order matters: a prefetch fill
         // captures the stamp, reads the row, and re-verifies the stamp
         // under the residency lock. Bumping *before* the write would let
@@ -298,7 +315,7 @@ impl StoredTable {
         // the bump — in which case the caller's invalidation (ordered
         // after this bump, under the same residency lock) removes it.
         let (s, r) = self.locate(row);
-        self.shards[s].write().write_row(r, self.dim, values);
+        write(&mut self.shards[s].write(), r, self.dim);
         self.write_stamp.fetch_add(1, Ordering::Release);
     }
 
@@ -335,11 +352,6 @@ pub struct EmbeddingStore {
     cache_only_skips: AtomicU64,
     /// DRAM/SSD residency model (`StoreConfig::tier`).
     tier: Option<TierEngine>,
-    /// Table-combining row cache (`TierConfig::combine`).
-    combine: Option<CombineCache>,
-    /// Lookups the combining cache saved: each combined hit served a
-    /// pair of rows with one lookup instead of two.
-    combined_lookups_saved: AtomicU64,
     /// Epoch cell the live-update protocol pins readers with. Readers
     /// pin once per coalesced batch; `apply_update` synchronizes against
     /// it before retiring superseded rows (DESIGN.md §14).
@@ -348,7 +360,7 @@ pub struct EmbeddingStore {
     update_batches_applied: AtomicU64,
     /// Rows rewritten by applied update batches.
     update_rows_applied: AtomicU64,
-    /// Superseded rows retired (cache/tier/combine re-invalidated after
+    /// Superseded rows retired (cache/tier re-invalidated after
     /// the post-publish synchronize).
     update_rows_retired: AtomicU64,
     /// Update batches rolled back whole after an injected crash.
@@ -372,13 +384,8 @@ impl EmbeddingStore {
     /// consistent. With [`FaultHook::disabled`] this is identical to
     /// [`EmbeddingStore::new`].
     pub fn with_faults(cfg: StoreConfig, faults: FaultHook) -> EmbeddingStore {
-        let cache = HotRowCache::new(cfg.cache_capacity_rows, cfg.cache_shards, cfg.cache_policy);
+        let cache = HotRowCache::new(cfg.cache_capacity_rows, CACHE_SHARDS);
         let tier = cfg.tier.as_ref().map(TierEngine::new);
-        let combine = cfg
-            .tier
-            .as_ref()
-            .and_then(|t| t.combine)
-            .map(CombineCache::new);
         EmbeddingStore {
             cfg,
             tables: RwLock::new(Vec::new()),
@@ -391,8 +398,6 @@ impl EmbeddingStore {
             cache_only: AtomicBool::new(false),
             cache_only_skips: AtomicU64::new(0),
             tier,
-            combine,
-            combined_lookups_saved: AtomicU64::new(0),
             epoch: EpochGc::new(),
             update_batches_applied: AtomicU64::new(0),
             update_rows_applied: AtomicU64::new(0),
@@ -584,13 +589,10 @@ impl EmbeddingStore {
     }
 
     /// Drops every cached or resident trace of `key`: the hot-row cache
-    /// entry, any combined pair touching the key, and the DRAM tier
-    /// residency (CLOCK slot + pending prefetch intent).
+    /// entry and the DRAM tier residency (CLOCK slot + pending prefetch
+    /// intent).
     fn invalidate_row(&self, key: u64) {
         self.cache.invalidate(key);
-        if let Some(combine) = &self.combine {
-            combine.invalidate_key(key);
-        }
         if let Some(tier) = &self.tier {
             tier.invalidate(key);
         }
@@ -606,11 +608,12 @@ impl EmbeddingStore {
     ///    with a typed error and zero visible effect.
     /// 2. **Apply with an undo log** — each delta re-encodes its row
     ///    under the shard write lock and invalidates the row's cached
-    ///    copies; the pre-update row is kept for rollback. An injected
-    ///    [`UpdateFault::CrashMidBatch`] fires halfway through and rolls
-    ///    every applied row back (restoring and re-invalidating), then
-    ///    returns [`StoreError::UpdateAborted`] — the failed batch is
-    ///    invisible and the version unchanged.
+    ///    copies; the pre-update row's stored bytes are kept for
+    ///    rollback. An injected [`UpdateFault::CrashMidBatch`] fires
+    ///    halfway through and rolls every applied row back (writing the
+    ///    kept bytes back verbatim and re-invalidating), then returns
+    ///    [`StoreError::UpdateAborted`] — the failed batch is invisible,
+    ///    bit for bit in every encoding, and the version unchanged.
     /// 3. **Publish** — every table in the namespace advances to
     ///    `target_version` (an injected [`UpdateFault::DelayPublish`]
     ///    stalls just before this step; readers keep serving the prior
@@ -700,12 +703,12 @@ impl EmbeddingStore {
             UpdateFault::CrashMidBatch { .. } => Some(resolved.len() / 2),
             _ => None,
         };
-        let mut undo: Vec<(Arc<StoredTable>, u32, Vec<f32>, u64)> =
+        let mut undo: Vec<(Arc<StoredTable>, u32, RowData, u64)> =
             Vec::with_capacity(resolved.len());
         for (i, (slot, table, delta)) in resolved.iter().enumerate() {
             if crash_at == Some(i) {
                 for (table, row, old, key) in undo.drain(..).rev() {
-                    table.write_row(row, &old);
+                    table.restore_row(row, &old);
                     self.invalidate_row(key);
                 }
                 self.update_rollbacks.fetch_add(1, Ordering::Relaxed);
@@ -715,8 +718,7 @@ impl EmbeddingStore {
                     rows_rolled_back: i,
                 });
             }
-            let mut old = vec![0.0f32; table.dim];
-            table.read_into(delta.row, &mut old);
+            let old = table.row_copy(delta.row);
             let key = ((*slot as u64) << 32) | u64::from(delta.row);
             table.write_row(delta.row, &delta.values);
             self.invalidate_row(key);
@@ -762,7 +764,6 @@ impl EmbeddingStore {
             f32_bytes += (t.rows * t.dim * 4) as u64;
         }
         let tier = self.tier.as_ref().map(|t| t.stats()).unwrap_or_default();
-        let combine = self.combine.as_ref().map(|c| c.stats()).unwrap_or_default();
         StoreStats {
             tables: tables.len(),
             rows,
@@ -792,11 +793,8 @@ impl EmbeddingStore {
             prefetch_wasted: tier.prefetch_wasted,
             prefetch_aborted_stale: tier.prefetch_aborted_stale,
             tier_invalidations: tier.invalidations,
-            combined_resident_pairs: combine.resident_pairs,
-            combined_hits: combine.hits,
-            combined_fills: combine.fills,
-            combined_evictions: combine.evictions,
-            combined_lookups_saved: self.combined_lookups_saved.load(Ordering::Relaxed),
+            combined_hits: 0,
+            combined_lookups_saved: 0,
             update_batches_applied: self.update_batches_applied.load(Ordering::Relaxed),
             update_rows_applied: self.update_rows_applied.load(Ordering::Relaxed),
             update_rows_retired: self.update_rows_retired.load(Ordering::Relaxed),
@@ -817,11 +815,6 @@ impl EmbeddingStore {
     /// (tiering on and its prefetch flag set).
     pub fn prefetch_enabled(&self) -> bool {
         self.tier.as_ref().is_some_and(|t| t.prefetch_enabled())
-    }
-
-    /// Whether the table-combining cache is active.
-    pub fn combining_enabled(&self) -> bool {
-        self.combine.is_some()
     }
 
     /// `(DRAM-resident rows, total rows)` across the tables registered
@@ -928,15 +921,6 @@ impl PinnedTable {
         ((self.handle.0 as u64) << 32) | u64::from(row)
     }
 
-    /// Adds row `row` element-wise into `acc` (`acc[i] += row[i]`, left
-    /// to right — the identical reduction a dense-tensor lookup performs,
-    /// so the `F32` encoding is bit-identical to the direct path whether
-    /// the row comes from the cache or a cold shard).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts `row < rows` and `acc.len() == dim`; callers
-    /// validate indices before reaching the hot path.
     /// Applies any injected read fault and reports whether a cold-shard
     /// read should be skipped (cache-only degraded mode).
     #[inline]
@@ -967,6 +951,15 @@ impl PinnedTable {
         }
     }
 
+    /// Adds row `row` element-wise into `acc` (`acc[i] += row[i]`, left
+    /// to right — the identical reduction a dense-tensor lookup performs,
+    /// so the `F32` encoding is bit-identical to the direct path whether
+    /// the row comes from the cache or a cold shard).
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts `row < rows` and `acc.len() == dim`; callers
+    /// validate indices before reaching the hot path.
     pub fn sum_row(&self, row: u32, acc: &mut [f32]) {
         debug_assert!((row as usize) < self.table.rows);
         debug_assert_eq!(acc.len(), self.table.dim);
@@ -1090,62 +1083,10 @@ impl PinnedTable {
         }
     }
 
-    /// Pooled lookup of a frequently co-travelling row pair: adds
-    /// `self[row]` into `acc` and `other[other_row]` into `other_acc`,
-    /// letting the table-combining cache serve both halves with **one**
-    /// lookup when the pair is hot (MicroRec-style). On a combined hit
-    /// the halves are the exact decoded rows added in the same order a
-    /// per-table lookup would use, so outputs are bit-identical; only
-    /// the lookup count changes. Falls back to two plain
-    /// [`PinnedTable::sum_row`] calls when combining is off or the pins
-    /// belong to different stores.
-    pub fn sum_row_pair(
-        &self,
-        row: u32,
-        acc: &mut [f32],
-        other: &PinnedTable,
-        other_row: u32,
-        other_acc: &mut [f32],
-    ) {
-        debug_assert!((row as usize) < self.table.rows);
-        debug_assert!((other_row as usize) < other.table.rows);
-        let combinable = self.store.combine.is_some() && Arc::ptr_eq(&self.store, &other.store);
-        if !combinable {
-            self.sum_row(row, acc);
-            other.sum_row(other_row, other_acc);
-            return;
-        }
-        let combine = self.store.combine.as_ref().expect("checked above");
-        let (ka, kb) = (self.key(row), other.key(other_row));
-        if combine.lookup_into(ka, kb, acc, other_acc) {
-            // One combined lookup served both rows from DRAM: no decode,
-            // no tier charge, one lookup instead of two.
-            self.store.lookups.fetch_add(1, Ordering::Relaxed);
-            self.store
-                .combined_lookups_saved
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let promote = combine.observe(ka, kb);
-        self.sum_row(row, acc);
-        other.sum_row(other_row, other_acc);
-        if promote && !self.store.cache_only() {
-            // Build the concatenated row once, straight from the shards
-            // (quiet decode: tallied as a combine fill, not a demand
-            // decode).
-            let (da, db) = (self.table.dim, other.table.dim);
-            let mut concat = vec![0.0f32; da + db].into_boxed_slice();
-            self.table.read_into(row, &mut concat[..da]);
-            other.table.read_into(other_row, &mut concat[da..]);
-            combine.fill(ka, kb, da, concat);
-        }
-    }
-
     /// Re-encodes one row from `values` under the owning shard's write
     /// lock and invalidates every cached or resident trace of it
-    /// (hot-row cache, combined pairs, and tier residency), so
-    /// subsequent lookups see the new value and re-earn residency from
-    /// it.
+    /// (hot-row cache and tier residency), so subsequent lookups see the
+    /// new value and re-earn residency from it.
     ///
     /// # Errors
     ///
@@ -1239,16 +1180,13 @@ pub struct StoreStats {
     pub prefetch_aborted_stale: u64,
     /// Tier residency invalidations from row updates.
     pub tier_invalidations: u64,
-    /// Combined row pairs currently cached (gauge).
-    pub combined_resident_pairs: u64,
-    /// Pair lookups served whole from the combining cache.
+    /// Always 0: the table-combining cache is gone. Kept only so the
+    /// frozen `servebench` benchmark still compiles; drop it at the next
+    /// benchmark change.
     pub combined_hits: u64,
-    /// Combined rows built and cached.
-    pub combined_fills: u64,
-    /// Combined rows evicted or invalidated.
-    pub combined_evictions: u64,
-    /// Lookups saved by combining (one per combined hit: two rows, one
-    /// lookup).
+    /// Always 0: the table-combining cache is gone. Kept only so the
+    /// frozen `servebench` benchmark still compiles; drop it at the next
+    /// benchmark change.
     pub combined_lookups_saved: u64,
     /// Update batches applied and published ([`EmbeddingStore::apply_update`]).
     pub update_batches_applied: u64,
@@ -1303,14 +1241,6 @@ impl StoreStats {
             tier_invalidations: self
                 .tier_invalidations
                 .saturating_sub(base.tier_invalidations),
-            combined_hits: self.combined_hits.saturating_sub(base.combined_hits),
-            combined_fills: self.combined_fills.saturating_sub(base.combined_fills),
-            combined_evictions: self
-                .combined_evictions
-                .saturating_sub(base.combined_evictions),
-            combined_lookups_saved: self
-                .combined_lookups_saved
-                .saturating_sub(base.combined_lookups_saved),
             update_batches_applied: self
                 .update_batches_applied
                 .saturating_sub(base.update_batches_applied),
@@ -1369,16 +1299,23 @@ impl StoreStats {
         }
     }
 
-    /// Combined DRAM hit rate: the fraction of all row lookups served
-    /// without a cold-tier read — hot-row-cache hits, combined-row hits,
-    /// and tier-resident decodes all count as DRAM. 1.0 without tiering
-    /// (everything is DRAM) or when idle.
-    pub fn combined_dram_hit_rate(&self) -> f64 {
+    /// DRAM hit rate: the fraction of all row lookups served without a
+    /// cold-tier read — hot-row-cache hits and tier-resident decodes
+    /// both count as DRAM. 1.0 without tiering (everything is DRAM) or
+    /// when idle.
+    pub fn dram_hit_rate(&self) -> f64 {
         if self.lookups == 0 {
             1.0
         } else {
             1.0 - self.tier_cold_demand_reads as f64 / self.lookups as f64
         }
+    }
+
+    /// The same figure as [`StoreStats::dram_hit_rate`] under its old
+    /// name. Kept only so the frozen `servebench` benchmark still
+    /// compiles; drop it at the next benchmark change.
+    pub fn combined_dram_hit_rate(&self) -> f64 {
+        self.dram_hit_rate()
     }
 
     /// Fraction of would-be cold demand misses the prefetcher converted
@@ -1393,16 +1330,11 @@ impl StoreStats {
         }
     }
 
-    /// Fraction of lookups the combining cache saved: `saved /
-    /// (lookups + saved)` — the denominator is what the lookup count
-    /// would have been without combining. 0 when idle.
+    /// Always 0: the table-combining cache is gone. Kept only so the
+    /// frozen `servebench` benchmark still compiles; drop it at the next
+    /// benchmark change.
     pub fn combined_lookup_cut(&self) -> f64 {
-        let would_be = self.lookups + self.combined_lookups_saved;
-        if would_be == 0 {
-            0.0
-        } else {
-            self.combined_lookups_saved as f64 / would_be as f64
-        }
+        0.0
     }
 
     /// Mean cold-read wait charged per lookup on the demand path,
@@ -1469,7 +1401,6 @@ mod tests {
     fn f32_sum_row_is_bit_identical_to_manual_add() {
         let s = store(StoreConfig {
             cache_capacity_rows: 16,
-            cache_shards: 1,
             ..StoreConfig::default()
         });
         let data = filled(100, 8);
@@ -1684,19 +1615,16 @@ mod tests {
         assert_eq!(s.stats().tables, 1);
     }
 
-    fn tiered_cfg(budget: usize, combine: bool) -> StoreConfig {
-        use drec_tier::{ColdReadModel, CombineConfig, Pacing};
+    fn tiered_cfg(budget: usize) -> StoreConfig {
+        use drec_tier::{ColdReadModel, Pacing};
         StoreConfig {
             tier: Some(TierConfig {
-                dram_budget_rows: budget,
                 cold_read: ColdReadModel {
                     pacing: Pacing::Charge,
                     seed: 9,
                     ..ColdReadModel::default()
                 },
-                prefetch: true,
-                admit_after: 1,
-                combine: combine.then(CombineConfig::default),
+                ..TierConfig::new(budget)
             }),
             ..StoreConfig::default()
         }
@@ -1706,7 +1634,7 @@ mod tests {
     fn tiered_lookups_are_bit_identical_and_charge_cold_waits() {
         let data = filled(100, 8);
         let plain = store(StoreConfig::default());
-        let tiered = store(tiered_cfg(10, false));
+        let tiered = store(tiered_cfg(10));
         let hp = plain.register(1, 0, 100, 8, &data).unwrap();
         let ht = tiered.register(1, 0, 100, 8, &data).unwrap();
         let (pp, pt) = (plain.pin(hp), tiered.pin(ht));
@@ -1723,14 +1651,14 @@ mod tests {
         assert_eq!(s.tier_dram_hits, 2);
         assert_eq!(s.tier_promotions, 4);
         assert!(s.tier_demand_wait_nanos > 0);
-        assert!((s.combined_dram_hit_rate() - 2.0 / 6.0).abs() < 1e-12);
+        assert!((s.dram_hit_rate() - 2.0 / 6.0).abs() < 1e-12);
         assert_eq!(plain.stats().tier_cold_demand_reads, 0);
-        assert!((plain.stats().combined_dram_hit_rate() - 1.0).abs() < 1e-12);
+        assert!((plain.stats().dram_hit_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn prefetch_fills_convert_demand_misses_without_decoding() {
-        let s = store(tiered_cfg(50, false));
+        let s = store(tiered_cfg(50));
         let h = s.register(1, 0, 100, 4, &filled(100, 4)).unwrap();
         let pin = s.pin(h);
         for row in [3u32, 4, 5] {
@@ -1760,64 +1688,8 @@ mod tests {
     }
 
     #[test]
-    fn combining_serves_hot_pairs_with_one_bit_identical_lookup() {
-        let data_a = filled(20, 4);
-        let data_b = filled(20, 6);
-        let s = store(tiered_cfg(1000, true));
-        let ha = s.register(1, 0, 20, 4, &data_a).unwrap();
-        let hb = s.register(1, 1, 20, 6, &data_b).unwrap();
-        let (pa, pb) = (s.pin(ha), s.pin(hb));
-        let reference = |row_a: usize, row_b: usize| {
-            let mut a = vec![0.25f32; 4];
-            let mut b = vec![0.25f32; 6];
-            for (x, &v) in a.iter_mut().zip(&data_a[row_a * 4..(row_a + 1) * 4]) {
-                *x += v;
-            }
-            for (x, &v) in b.iter_mut().zip(&data_b[row_b * 6..(row_b + 1) * 6]) {
-                *x += v;
-            }
-            (a, b)
-        };
-        // Default promote_after = 2: first two sightings go the plain
-        // route (the second also fills), the third is a combined hit.
-        for pass in 0..3 {
-            let mut a = vec![0.25f32; 4];
-            let mut b = vec![0.25f32; 6];
-            pa.sum_row_pair(7, &mut a, &pb, 9, &mut b);
-            let (ea, eb) = reference(7, 9);
-            assert_eq!((a, b), (ea, eb), "pass {pass}");
-        }
-        let stats = s.stats();
-        assert_eq!(stats.combined_fills, 1);
-        assert_eq!(stats.combined_hits, 1);
-        assert_eq!(stats.combined_lookups_saved, 1);
-        // 2 passes x 2 lookups + 1 combined = 5 (6 would-be).
-        assert_eq!(stats.lookups, 5);
-        assert!((stats.combined_lookup_cut() - 1.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn update_row_invalidates_combined_pairs() {
-        let s = store(tiered_cfg(1000, true));
-        let ha = s.register(1, 0, 10, 2, &filled(10, 2)).unwrap();
-        let hb = s.register(1, 1, 10, 2, &filled(10, 2)).unwrap();
-        let (pa, pb) = (s.pin(ha), s.pin(hb));
-        let mut a = vec![0.0f32; 2];
-        let mut b = vec![0.0f32; 2];
-        for _ in 0..3 {
-            pa.sum_row_pair(1, &mut a, &pb, 2, &mut b);
-        }
-        assert_eq!(s.stats().combined_hits, 1);
-        pb.update_row(2, &[5.0, 6.0]).unwrap();
-        a.fill(0.0);
-        b.fill(0.0);
-        pa.sum_row_pair(1, &mut a, &pb, 2, &mut b);
-        assert_eq!(b, [5.0, 6.0], "stale combined row served after update");
-    }
-
-    #[test]
     fn namespace_residency_tracks_tiered_tables() {
-        let s = store(tiered_cfg(5, false));
+        let s = store(tiered_cfg(5));
         let h1 = s.register(10, 0, 8, 2, &filled(8, 2)).unwrap();
         let _h2 = s.register(20, 0, 8, 2, &filled(8, 2)).unwrap();
         let pin = s.pin(h1);
@@ -1958,6 +1830,65 @@ mod tests {
         assert_eq!(s.namespace_version(7), 1);
         pin.read_row(0, &mut out);
         assert_eq!(out, [5.0, 5.0]);
+    }
+
+    #[test]
+    fn crash_rollback_restores_stored_bits_in_every_encoding() {
+        // Re-quantizing a decoded int8 row does not always land on the
+        // same bytes, so rollback must put back the stored bytes, not
+        // the decoded values.
+        let (rows, dim) = (256usize, 32usize);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+        };
+        let data: Vec<f32> = (0..rows * dim).map(|_| next()).collect();
+        let deltas: Vec<RowDelta> = (0..rows as u32)
+            .map(|r| RowDelta {
+                ordinal: 0,
+                row: r,
+                values: (0..dim).map(|_| next()).collect(),
+            })
+            .collect();
+        let raw_bits = |pin: &PinnedTable| -> Vec<u32> {
+            let mut out = vec![0.0f32; rows * dim];
+            for (r, dst) in out.chunks_mut(dim).enumerate() {
+                pin.read_row_raw(r as u32, dst).unwrap();
+            }
+            out.iter().map(|v| v.to_bits()).collect()
+        };
+        for encoding in [RowEncoding::F32, RowEncoding::F16, RowEncoding::Int8] {
+            let s = store(StoreConfig {
+                encoding,
+                ..StoreConfig::default()
+            });
+            let pin = s.pin(s.register(7, 0, rows, dim, &data).unwrap());
+            let before = raw_bits(&pin);
+            let batch = UpdateBatch {
+                namespace: 7,
+                target_version: 1,
+                deltas: deltas.clone(),
+            };
+            assert_eq!(
+                s.apply_update(&batch, UpdateFault::CrashMidBatch { batch: 0 }),
+                Err(StoreError::UpdateAborted {
+                    namespace: 7,
+                    target: 1,
+                    rows_rolled_back: rows / 2
+                })
+            );
+            let after = raw_bits(&pin);
+            let changed = (0..rows)
+                .filter(|&r| before[r * dim..(r + 1) * dim] != after[r * dim..(r + 1) * dim])
+                .count();
+            assert_eq!(
+                changed, 0,
+                "{encoding}: {changed} rows differ after rollback"
+            );
+        }
     }
 
     #[test]
@@ -2103,7 +2034,7 @@ mod tests {
 
     #[test]
     fn update_row_invalidates_tier_residency() {
-        let s = store(tiered_cfg(50, false));
+        let s = store(tiered_cfg(50));
         let h = s.register(1, 0, 10, 2, &filled(10, 2)).unwrap();
         let pin = s.pin(h);
         let mut acc = vec![0.0f32; 2];

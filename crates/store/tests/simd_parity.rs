@@ -9,9 +9,7 @@
 
 use std::sync::Arc;
 
-use drec_store::{
-    f32_to_f16_bits, quantize_row, CachePolicy, EmbeddingStore, RowEncoding, StoreConfig,
-};
+use drec_store::{f32_to_f16_bits, quantize_row, EmbeddingStore, RowEncoding, StoreConfig};
 use drec_tensor::simd::{self, KernelBackend};
 
 /// Deterministic pseudo-random row data with awkward values mixed in.
@@ -37,8 +35,6 @@ fn store_with(encoding: RowEncoding, cache_rows: usize) -> EmbeddingStore {
         encoding,
         shards_per_table: 4,
         cache_capacity_rows: cache_rows,
-        cache_policy: CachePolicy::Lru,
-        cache_shards: 4,
         tier: None,
     })
 }

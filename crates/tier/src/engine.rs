@@ -7,7 +7,6 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::clock::{ResidencyClock, Touch};
-use crate::combine::CombineConfig;
 use crate::latency::{ColdReadModel, Pacing};
 
 /// Configuration for a [`TierEngine`] (carried by the store's config as
@@ -37,13 +36,20 @@ pub struct TierConfig {
     /// churning. Prefetch fills always bypass this filter: an admitted
     /// query is explicit evidence the row is about to be used.
     pub admit_after: u32,
-    /// Table-combining cache; `None` disables combining.
+    /// Ignored: the table-combining cache is gone. Kept only so the
+    /// frozen `servebench` benchmark still compiles; drop it at the next
+    /// benchmark change.
     pub combine: Option<CombineConfig>,
 }
 
+/// Former table-combining cache configuration, now an empty marker that
+/// nothing reads. Kept only so the frozen `servebench` benchmark still
+/// compiles; drop it at the next benchmark change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CombineConfig;
+
 impl TierConfig {
-    /// Tiering with the default cold-read model, prefetch enabled, and
-    /// combining off.
+    /// Tiering with the default cold-read model and prefetch enabled.
     pub fn new(dram_budget_rows: usize) -> TierConfig {
         TierConfig {
             dram_budget_rows,
@@ -458,7 +464,6 @@ mod tests {
 
     fn charge_only(budget: usize) -> TierEngine {
         TierEngine::new(&TierConfig {
-            dram_budget_rows: budget,
             cold_read: ColdReadModel {
                 base: Duration::from_micros(10),
                 jitter: Duration::from_micros(1),
@@ -466,9 +471,7 @@ mod tests {
                 seed: 3,
                 pacing: Pacing::Charge,
             },
-            prefetch: true,
-            admit_after: 1,
-            combine: None,
+            ..TierConfig::new(budget)
         })
     }
 

@@ -17,13 +17,13 @@
 //! * **Values never change.** Residency only decides what latency a read
 //!   is charged and which counters move. Data always decodes from the
 //!   same encoded shards, so store-backed model outputs are bit-identical
-//!   with tiering on or off, with or without prefetch or combining, at
-//!   any thread count.
+//!   with tiering on or off, with or without prefetch, at any thread
+//!   count.
 //! * **Determinism.** Promotion/eviction is pure CLOCK over the access
 //!   sequence, and the cold-read latency is a pure function of the model
 //!   seed and the global read index — no wall clock, no OS randomness.
-//! * **Separate accounting.** Cold-tier reads, prefetch fills, and
-//!   combined-row hits each move their own counters; they never touch
+//! * **Separate accounting.** Cold-tier reads and prefetch fills each
+//!   move their own counters; they never touch
 //!   the store's demand `decode_vector`/`decode_scalar` pair, keeping
 //!   the kernel-mix metric honest.
 //!
@@ -38,18 +38,13 @@
 //! * [`ResidencyClock`] — the deterministic CLOCK resident set.
 //! * [`TierEngine`] — the store-facing engine: demand access, prefetch
 //!   intents and fills, hit/late/wasted tracking, [`TierStats`].
-//! * [`CombineCache`] — a MicroRec-style table-combining cache: detects
-//!   frequently co-occurring `(table, id)` pairs and caches their
-//!   concatenated rows so two lookups become one.
 
 #![warn(missing_docs)]
 
 mod clock;
-mod combine;
 mod engine;
 mod latency;
 
 pub use clock::ResidencyClock;
-pub use combine::{CombineCache, CombineConfig, CombineStats};
-pub use engine::{TierAccess, TierConfig, TierEngine, TierStats};
+pub use engine::{CombineConfig, TierAccess, TierConfig, TierEngine, TierStats};
 pub use latency::{ColdReadModel, Pacing};

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use deeprec::models::{InputSlot, ModelId, ModelScale, RecModel};
 use deeprec::ops::{IdList, Value};
 use deeprec::par::{with_pool, ParPool};
-use deeprec::store::{CombineConfig, EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
+use deeprec::store::{EmbeddingStore, RowEncoding, StoreConfig, TierConfig};
 use deeprec::tensor::ParamInit;
 
 const SEED: u64 = 17;
@@ -80,10 +80,10 @@ fn every_model_is_bit_identical_across_thread_counts_and_encodings() {
     }
 }
 
-/// The four tier configurations of the DRAM/SSD store. Residency,
-/// prefetch, and table combining may only change latency accounting and
-/// counters — never a single output bit.
-const TIER_MODES: [&str; 4] = ["dram_only", "tiered", "tiered_prefetch", "tiered_combined"];
+/// The three tier configurations of the DRAM/SSD store. Residency and
+/// prefetch may only change latency accounting and counters — never a
+/// single output bit.
+const TIER_MODES: [&str; 3] = ["dram_only", "tiered", "tiered_prefetch"];
 
 fn tier_config(mode: &str) -> Option<TierConfig> {
     if mode == "dram_only" {
@@ -92,9 +92,6 @@ fn tier_config(mode: &str) -> Option<TierConfig> {
     // A tiny DRAM budget forces heavy cold traffic and evictions.
     let mut tier = TierConfig::new(64);
     tier.prefetch = mode == "tiered_prefetch";
-    if mode == "tiered_combined" {
-        tier.combine = Some(CombineConfig::default());
-    }
     Some(tier)
 }
 
@@ -150,8 +147,8 @@ fn every_model_is_bit_identical_across_tier_modes_and_threads() {
         for mode in TIER_MODES {
             for threads in [1usize, 2, 8] {
                 let pool = ParPool::new(threads);
-                // Three runs per configuration: cold tier, warming tier,
-                // and (in combined mode) promoted pair-cache hits.
+                // Three runs per configuration: a cold tier, then a
+                // warming one.
                 for (run, bits) in with_pool(&pool, || tier_bits(id, mode, 3))
                     .into_iter()
                     .enumerate()
